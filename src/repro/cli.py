@@ -79,6 +79,7 @@ from .engine import (
     TelemetryCollector,
     digest,
     list_runs,
+    write_text_atomic,
 )
 from .engine import trace as trace_analysis
 from .engine import bench as engine_bench
@@ -1047,10 +1048,7 @@ def _write_json_out(args, payload) -> None:
 
     if getattr(args, "out", None) is None:
         return
-    out = pathlib.Path(args.out)
-    if out.parent != pathlib.Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(_json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    out = write_text_atomic(args.out, _json.dumps(payload, indent=2) + "\n")
     run = getattr(args, "_run", None)
     if run is not None:
         run.record_artifact(out)
@@ -1340,9 +1338,7 @@ def cmd_trace(args) -> int:
     payload = trace_analysis.chrome_trace(events)
     text = _json.dumps(payload)
     if args.out is not None:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n", encoding="utf-8")
+        out = write_text_atomic(args.out, text + "\n")
         print(f"wrote {out} ({len(payload['traceEvents'])} trace events)")
     else:
         print(text)
@@ -1373,9 +1369,7 @@ def _cmd_trace_fleet(args) -> int:
     roots = fleet_mod.fleet_span_tree(stitched)
     if args.export is not None:
         payload = fleet_mod.fleet_chrome_trace(stitched)
-        out = pathlib.Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(_json.dumps(payload) + "\n", encoding="utf-8")
+        out = write_text_atomic(args.export, _json.dumps(payload) + "\n")
         print(
             f"wrote {out} ({len(payload['traceEvents'])} trace events)",
             file=sys.stderr,
@@ -1606,11 +1600,12 @@ def cmd_chaos(args) -> int:
     summary = report.as_jsonable()
     print(_json.dumps(summary, indent=2, sort_keys=True))
     if args.out:
-        pathlib.Path(args.out).write_text(
+        write_text_atomic(
+            args.out,
             _json.dumps(
                 {**summary, "journal": report.journal}, indent=2, sort_keys=True
             )
-            + "\n"
+            + "\n",
         )
         print(f"wrote {args.out}", file=sys.stderr)
     if args.fleet_trace and report.journal_dirs:
@@ -1619,9 +1614,9 @@ def cmd_chaos(args) -> int:
         try:
             stitched = fleet_mod.stitch_journals(report.journal_dirs)
             payload = fleet_mod.fleet_chrome_trace(stitched)
-            out_path = pathlib.Path(args.fleet_trace)
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            out_path.write_text(_json.dumps(payload) + "\n", encoding="utf-8")
+            out_path = write_text_atomic(
+                args.fleet_trace, _json.dumps(payload) + "\n"
+            )
             print(
                 f"wrote {out_path} "
                 f"({len(payload['traceEvents'])} trace events, "
@@ -1662,14 +1657,11 @@ def cmd_fleet(args) -> int:
         )
     if args.out is not None:
         out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         if args.fleet_command == "metrics" and out.suffix == ".json":
-            out.write_text(
-                _json.dumps(aggregate, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            body = _json.dumps(aggregate, indent=2, sort_keys=True)
         else:
-            out.write_text(text + "\n", encoding="utf-8")
+            body = text
+        write_text_atomic(out, body + "\n")
         print(f"wrote {out}", file=sys.stderr)
     print(text)
     if aggregate["errors"]:

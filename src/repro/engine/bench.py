@@ -34,6 +34,7 @@ from ..sim.interval_batch import BatchIntervalModel
 from ..tech import CactiModel, default_technology
 from ..uarch.config import CoreConfig, DesignSpace, initial_configuration
 from ..workloads.spec2000 import spec2000_profile
+from .io_atomic import write_text_atomic
 from .pool import EvaluationEngine
 
 SCHEMA_VERSION = 1
@@ -180,9 +181,7 @@ def run_engine_bench(
 
 def write_report(report: dict, path: str | Path) -> Path:
     """Write the report as stable, human-diffable JSON."""
-    out = Path(path)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return out
+    return write_text_atomic(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def format_report(report: dict) -> str:

@@ -28,6 +28,7 @@ repair (the annealing engine skips such proposals).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable
 
 import numpy as np
@@ -47,6 +48,12 @@ from ..uarch.fit import (
 _CLOCK_STEP_DOWN = 0.85
 _CLOCK_STEP_UP = 1.18
 
+# Move weights (clock, depth, width, size, geometry); clock and depth
+# moves are the paper's primary pair.  Bisecting their cdf with one
+# ``rng.random()`` is what ``rng.choice(5, p=weights)`` does, draw for draw.
+_CUMULATIVE = np.cumsum([0.30, 0.25, 0.15, 0.15, 0.15])
+_CDF = tuple((_CUMULATIVE / _CUMULATIVE[-1]).tolist())
+
 
 class MoveGenerator:
     """Random neighbour generator for :class:`CoreConfig` states."""
@@ -63,17 +70,14 @@ class MoveGenerator:
 
     def propose(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """One random move; always returns a re-fitted configuration."""
-        moves: list[Callable[[CoreConfig, np.random.Generator], CoreConfig]] = [
+        moves: tuple[Callable[[CoreConfig, np.random.Generator], CoreConfig], ...] = (
             self.clock_move,
             self.depth_move,
             self.width_move,
             self.size_move,
             self.geometry_move,
-        ]
-        # Clock and depth moves are the paper's primary pair; weight them.
-        weights = np.array([0.30, 0.25, 0.15, 0.15, 0.15])
-        move = moves[int(rng.choice(len(moves), p=weights))]
-        return move(config, rng)
+        )
+        return moves[bisect_right(_CDF, rng.random())](config, rng)
 
     # ------------------------------------------------------------------
     # individual moves
@@ -82,12 +86,9 @@ class MoveGenerator:
     def clock_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Scale the clock period and re-fit every unit."""
         factor = rng.uniform(_CLOCK_STEP_DOWN, _CLOCK_STEP_UP)
-        clock = float(
-            np.clip(
-                config.clock_period_ns * factor,
-                self._tech.min_clock_ns,
-                self._tech.max_clock_ns,
-            )
+        clock = min(
+            max(config.clock_period_ns * factor, self._tech.min_clock_ns),
+            self._tech.max_clock_ns,
         )
         if abs(clock - config.clock_period_ns) < 1e-6:
             raise TimingError("clock move hit the clock-range boundary")
@@ -101,8 +102,8 @@ class MoveGenerator:
 
     def depth_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Re-pipeline one unit by one stage and re-size it."""
-        unit = rng.choice(["iq", "scheduler", "lsq", "l1", "l2"])
-        delta = int(rng.choice([-1, 1]))
+        unit = _pick(("iq", "scheduler", "lsq", "l1", "l2"), rng)
+        delta = _pick((-1, 1), rng)
         space = self._space
         clock = config.clock_period_ns
 
@@ -158,7 +159,7 @@ class MoveGenerator:
 
     def width_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Widen or narrow the machine and re-fit the ported structures."""
-        delta = int(rng.choice([-1, 1]))
+        delta = _pick((-1, 1), rng)
         width = config.width + delta
         if width not in self._space.widths:
             raise TimingError("width move out of range")
@@ -168,7 +169,7 @@ class MoveGenerator:
 
     def size_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Re-size one buffer to a random legal size within its budget."""
-        unit = rng.choice(["rob", "iq", "lsq"])
+        unit = _pick(("rob", "iq", "lsq"), rng)
         space = self._space
         clock = config.clock_period_ns
 
@@ -179,7 +180,7 @@ class MoveGenerator:
             choices = [s for s in space.rob_sizes if cap is not None and s <= cap]
             if not choices:
                 raise TimingError("no legal ROB size")
-            size = int(rng.choice(choices))
+            size = _pick(choices, rng)
             changed = config.replace(rob_size=size, iq_size=min(config.iq_size, size))
         elif unit == "iq":
             cap = max_iq_size(
@@ -197,19 +198,19 @@ class MoveGenerator:
             ]
             if not choices:
                 raise TimingError("no legal issue queue size")
-            changed = config.replace(iq_size=int(rng.choice(choices)))
+            changed = config.replace(iq_size=_pick(choices, rng))
         else:
             cap = max_lsq_size(self._model, self._tech, clock, config.lsq_depth, space)
             choices = [s for s in space.lsq_sizes if cap is not None and s <= cap]
             if not choices:
                 raise TimingError("no legal LSQ size")
-            changed = config.replace(lsq_size=int(rng.choice(choices)))
+            changed = config.replace(lsq_size=_pick(choices, rng))
 
         return refit_config(changed, self._tech, self._model, self._space, rng=None)
 
     def geometry_move(self, config: CoreConfig, rng: np.random.Generator) -> CoreConfig:
         """Randomly re-pick one cache's geometry within its cycle budget."""
-        level = int(rng.choice([1, 2]))
+        level = _pick((1, 2), rng)
         cache = config.l1 if level == 1 else config.l2
         fitting = fitting_cache_geometries(
             self._model,
@@ -221,9 +222,14 @@ class MoveGenerator:
         )
         if not fitting:
             raise TimingError(f"no L{level} geometry fits the current cycles")
-        nsets, assoc, block = fitting[int(rng.integers(0, len(fitting)))]
+        nsets, assoc, block = _pick(fitting, rng)
         geometry = CacheGeometry(
             nsets=nsets, assoc=assoc, block_bytes=block, latency_cycles=cache.latency_cycles
         )
         changed = config.replace(l1=geometry) if level == 1 else config.replace(l2=geometry)
         return refit_config(changed, self._tech, self._model, self._space, rng=None)
+
+
+def _pick(options, rng: np.random.Generator):
+    """A uniform pick; draws exactly what ``rng.choice(options)`` draws."""
+    return options[int(rng.integers(0, len(options)))]

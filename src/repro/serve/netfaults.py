@@ -486,15 +486,24 @@ class ChaosProxy:
         finally:
             with contextlib.suppress(Exception):
                 upstream.close()
+            # The request pump may still be blocked in client.recv(), and
+            # while it is, close() alone neither sends a FIN nor an RST:
+            # the client would only notice on its own timeout.  A
+            # shutdown() acts at once and wakes the pump.
             if torn and fault == RESET:
+                with contextlib.suppress(OSError):
+                    client.shutdown(socket.SHUT_RD)
+                request_thread.join(timeout=2)
                 self._abort(client)
             else:
                 # TRUNCATE (and the clean path) end with an orderly FIN;
                 # a truncated declared-JSON body is the torn-response
                 # case the client maps to a transport fault.
+                with contextlib.suppress(OSError):
+                    client.shutdown(socket.SHUT_RDWR)
                 with contextlib.suppress(Exception):
                     client.close()
-            request_thread.join(timeout=2)
+                request_thread.join(timeout=2)
 
 
 

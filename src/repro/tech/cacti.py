@@ -15,6 +15,7 @@ than 8 bytes" and uses 8 bytes as the width of issue-queue entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Hashable
 
 from ..errors import TimingError
 from .array import ArrayGeometry, ArrayTiming, array_timing
@@ -47,12 +48,15 @@ class CactiModel:
     Solutions are memoized per geometry: the model is pure per technology
     node, and exploration re-times the same handful of structures on
     every move, so repeat geometries are answered from ``_memo`` (hit
-    and miss counts are kept on ``memo_hits``/``memo_misses``).
+    and miss counts are kept on ``memo_hits``/``memo_misses``).  Tables
+    that consumers derive from the model once (the sizing-to-fit delay
+    tables of :mod:`repro.uarch.fit`) live beside it in ``derived``.
     """
 
     def __init__(self, tech: TechnologyNode) -> None:
         self._tech = tech
         self._memo: dict[tuple, CactiResult] = {}
+        self.derived: dict[Hashable, Any] = {}
         self.memo_hits = 0
         self.memo_misses = 0
 

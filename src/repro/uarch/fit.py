@@ -14,6 +14,11 @@ The solver answers two questions for every sized unit:
 and provides :func:`refit_config`, which repairs an entire configuration
 after a clock/depth move (growing a unit's depth when even the smallest
 size no longer fits).
+
+Unit delays do not depend on the clock, so both questions are answered
+from per-(model, space) delay tables built once: a query only compares
+stored delays against its stage budget instead of re-timing every
+candidate through the CACTI model.
 """
 
 from __future__ import annotations
@@ -66,6 +71,98 @@ def min_stages(
     return needed if needed <= max_stages else None
 
 
+#: (size, delay) rows of one buffer, largest size first.
+_Rows = tuple[tuple[int, float], ...]
+
+
+class _DelayTables:
+    """Clock-independent unit delays of one design space under one model.
+
+    A unit's delay depends on its size and port count, never on the clock,
+    so each table is built once (lazily, per unit) and every fit query
+    becomes a comparison of stored delays against the query's budget.
+    Buffers keep (size, delay) rows from the largest size down; a cache
+    level keeps one delay per geometry, in the space's geometry order.
+    The tables live on the model and hold no reference back to it, so a
+    model is still freed as soon as its last user drops it.
+    """
+
+    def __init__(self, space: DesignSpace) -> None:
+        self.space = space
+        self._rows: dict[tuple[str, int], _Rows] = {}
+        self._caches: dict[int, tuple[list[tuple[int, int, int]], np.ndarray, dict]] = {}
+
+    def rows(self, model: CactiModel, unit: str, width: int = 0) -> _Rows:
+        """Rows of the issue queue or ROB at ``width``, or of the LSQ."""
+        rows = self._rows.get((unit, width))
+        if rows is None:
+            space = self.space
+            sizes, delay_of = {
+                "iq": (space.iq_sizes, lambda s: issue_queue_ns(model, s, width)),
+                "rob": (space.rob_sizes, lambda s: regfile_ns(model, s, width)),
+                "lsq": (space.lsq_sizes, lambda s: lsq_ns(model, s)),
+            }[unit]
+            rows = self._rows[unit, width] = tuple(
+                (size, delay_of(size)) for size in sorted(sizes, reverse=True)
+            )
+        return rows
+
+    def cache(
+        self, model: CactiModel, level: int
+    ) -> tuple[list[tuple[int, int, int]], np.ndarray, dict]:
+        """(geometries, delays, geometry -> delay) of one cache level."""
+        table = self._caches.get(level)
+        if table is None:
+            if level == 1:
+                geometries, delay = self.space.l1_geometries(), l1_cache_ns
+            elif level == 2:
+                geometries, delay = self.space.l2_geometries(), l2_cache_ns
+            else:
+                raise ValueError(f"cache level must be 1 or 2, got {level}")
+            delays = [delay(model, *g) for g in geometries]
+            table = self._caches[level] = (
+                geometries,
+                np.array(delays, dtype=np.float64),
+                dict(zip(geometries, delays)),
+            )
+        return table
+
+
+def _tables(model: CactiModel, space: DesignSpace) -> _DelayTables:
+    """The delay tables of ``space`` under ``model``, built on first use.
+
+    They live on the model (keyed by the space's identity, which the
+    entry pins), so they share the model's lifetime and its memo.
+    """
+    tables = model.derived.get(id(space))
+    if tables is None or tables.space is not space:
+        tables = model.derived[id(space)] = _DelayTables(space)
+    return tables
+
+
+def _largest_fitting(rows: _Rows, budget_ns: float) -> int | None:
+    """:func:`max_fitting` over precomputed (size, delay) rows."""
+    limit = budget_ns + 1e-9  # the fits() comparison
+    for size, delay in rows:
+        if delay <= limit:
+            return size
+    return None
+
+
+def _fitting_indices(
+    model: CactiModel,
+    tech: TechnologyNode,
+    clock_period_ns: float,
+    cycles: int,
+    space: DesignSpace,
+    level: int,
+) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """A level's geometries and the (ordered) indices of those that fit."""
+    budget = tech.budget(clock_period_ns, cycles)
+    geometries, delays, _ = _tables(model, space).cache(model, level)
+    return geometries, np.flatnonzero(delays <= budget + 1e-9)
+
+
 def max_iq_size(
     model: CactiModel,
     tech: TechnologyNode,
@@ -76,7 +173,7 @@ def max_iq_size(
 ) -> int | None:
     """Largest issue queue whose wake-up+select loop fits ``stages``."""
     budget = tech.budget(clock_period_ns, stages)
-    return max_fitting(space.iq_sizes, lambda s: issue_queue_ns(model, s, width), budget)
+    return _largest_fitting(_tables(model, space).rows(model, "iq", width), budget)
 
 
 def max_rob_size(
@@ -89,7 +186,7 @@ def max_rob_size(
 ) -> int | None:
     """Largest ROB/register file fitting the scheduler/regfile depth."""
     budget = tech.budget(clock_period_ns, stages)
-    return max_fitting(space.rob_sizes, lambda s: regfile_ns(model, s, width), budget)
+    return _largest_fitting(_tables(model, space).rows(model, "rob", width), budget)
 
 
 def max_lsq_size(
@@ -101,7 +198,7 @@ def max_lsq_size(
 ) -> int | None:
     """Largest LSQ whose associative search fits the LSQ depth."""
     budget = tech.budget(clock_period_ns, stages)
-    return max_fitting(space.lsq_sizes, lambda s: lsq_ns(model, s), budget)
+    return _largest_fitting(_tables(model, space).rows(model, "lsq"), budget)
 
 
 def fitting_cache_geometries(
@@ -112,17 +209,12 @@ def fitting_cache_geometries(
     space: DesignSpace,
     level: int,
 ) -> list[tuple[int, int, int]]:
-    """All (nsets, assoc, block) triples of a level that fit ``cycles``."""
-    budget = tech.budget(clock_period_ns, cycles)
-    if level == 1:
-        candidates = space.l1_geometries()
-        delay = lambda g: l1_cache_ns(model, *g)  # noqa: E731
-    elif level == 2:
-        candidates = space.l2_geometries()
-        delay = lambda g: l2_cache_ns(model, *g)  # noqa: E731
-    else:
-        raise ValueError(f"cache level must be 1 or 2, got {level}")
-    return [g for g in candidates if fits(delay(g), budget)]
+    """All (nsets, assoc, block) triples of a level that fit ``cycles``,
+    in the space's geometry order."""
+    geometries, fitting = _fitting_indices(
+        model, tech, clock_period_ns, cycles, space, level
+    )
+    return [geometries[i] for i in fitting]
 
 
 def best_cache_geometry(
@@ -140,13 +232,17 @@ def best_cache_geometry(
     paper's "randomly varied to fit"); otherwise the largest capacity
     (ties broken toward higher associativity) is returned.
     """
-    fitting = fitting_cache_geometries(model, tech, clock_period_ns, cycles, space, level)
-    if not fitting:
+    geometries, fitting = _fitting_indices(
+        model, tech, clock_period_ns, cycles, space, level
+    )
+    if not len(fitting):
         return None
     if rng is not None:
-        nsets, assoc, block = fitting[int(rng.integers(0, len(fitting)))]
+        nsets, assoc, block = geometries[fitting[int(rng.integers(0, len(fitting)))]]
     else:
-        nsets, assoc, block = max(fitting, key=lambda g: (g[0] * g[1] * g[2], g[1]))
+        nsets, assoc, block = max(
+            (geometries[i] for i in fitting), key=lambda g: (g[0] * g[1] * g[2], g[1])
+        )
     return CacheGeometry(nsets=nsets, assoc=assoc, block_bytes=block, latency_cycles=cycles)
 
 
@@ -159,12 +255,11 @@ def min_cache_cycles(
     level: int,
 ) -> int | None:
     """Fewest access cycles for a given geometry at this clock."""
-    if level == 1:
-        delay = l1_cache_ns(model, geometry.nsets, geometry.assoc, geometry.block_bytes)
-    elif level == 2:
-        delay = l2_cache_ns(model, geometry.nsets, geometry.assoc, geometry.block_bytes)
-    else:
-        raise ValueError(f"cache level must be 1 or 2, got {level}")
+    _, _, delay_of = _tables(model, space).cache(model, level)
+    shape = (geometry.nsets, geometry.assoc, geometry.block_bytes)
+    delay = delay_of.get(shape)
+    if delay is None:  # a geometry outside the space
+        delay = (l1_cache_ns if level == 1 else l2_cache_ns)(model, *shape)
     cap = space.max_l1_cycles if level == 1 else space.max_l2_cycles
     return min_stages(delay, tech, clock_period_ns, cap)
 
@@ -186,14 +281,16 @@ def refit_config(
     :class:`TimingError` when no repair exists inside the design space.
     """
     clock = config.clock_period_ns
+    tables = _tables(model, space)
 
     # Issue queue: keep wakeup_latency (i.e. loop depth 1+latency) if any
     # size fits, else deepen the loop.  Repair only shrinks sizes — growth
     # happens through explicit exploration moves.
     iq_max, wakeup_stage = _refit_scalar_unit(
+        rows=tables.rows(model, "iq", config.width),
         current_stage=1 + config.wakeup_latency,
         max_stage=1 + space.max_wakeup_latency,
-        sizer=lambda st: max_iq_size(model, tech, clock, st, config.width, space),
+        tech=tech,
         unit="issue queue",
         clock=clock,
     )
@@ -201,18 +298,20 @@ def refit_config(
     wakeup_latency = wakeup_stage - 1
 
     rob_max, scheduler_depth = _refit_scalar_unit(
+        rows=tables.rows(model, "rob", config.width),
         current_stage=config.scheduler_depth,
         max_stage=space.max_scheduler_depth,
-        sizer=lambda st: max_rob_size(model, tech, clock, st, config.width, space),
+        tech=tech,
         unit="register file/ROB",
         clock=clock,
     )
     rob = min(config.rob_size, rob_max)
 
     lsq_max, lsq_depth = _refit_scalar_unit(
+        rows=tables.rows(model, "lsq"),
         current_stage=config.lsq_depth,
         max_stage=space.max_lsq_depth,
-        sizer=lambda st: max_lsq_size(model, tech, clock, st, space),
+        tech=tech,
         unit="load-store queue",
         clock=clock,
     )
@@ -240,9 +339,10 @@ def refit_config(
 
 
 def _refit_scalar_unit(
+    rows: _Rows,
     current_stage: int,
     max_stage: int,
-    sizer: Callable[[int], int | None],
+    tech: TechnologyNode,
     unit: str,
     clock: float,
 ) -> tuple[int, int]:
@@ -252,7 +352,7 @@ def _refit_scalar_unit(
     size; callers that want to keep a smaller current size clamp it.
     """
     for stages in range(current_stage, max_stage + 1):
-        size = sizer(stages)
+        size = _largest_fitting(rows, tech.budget(clock, stages))
         if size is not None:
             return size, stages
     raise TimingError(

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TimingError
-from repro.tech import CactiModel, default_technology, issue_queue_ns, regfile_ns
+from repro.tech import (
+    CactiModel,
+    default_technology,
+    issue_queue_ns,
+    l1_cache_ns,
+    l2_cache_ns,
+    lsq_ns,
+    regfile_ns,
+)
 from repro.uarch import (
     CacheGeometry,
     DesignSpace,
@@ -148,3 +156,205 @@ class TestRefit:
         refitted = refit_config(config, tech, model, space)
         validate_config(refitted, tech, model)
         assert refitted.clock_period_ns == pytest.approx(clock)
+
+
+# ---------------------------------------------------------------------------
+# Delay tables against the per-candidate CACTI scan they replace
+# ---------------------------------------------------------------------------
+
+
+def _scan_iq(model, tech, clock, stages, width, space):
+    budget = tech.budget(clock, stages)
+    return max_fitting(space.iq_sizes, lambda s: issue_queue_ns(model, s, width), budget)
+
+
+def _scan_rob(model, tech, clock, stages, width, space):
+    budget = tech.budget(clock, stages)
+    return max_fitting(space.rob_sizes, lambda s: regfile_ns(model, s, width), budget)
+
+
+def _scan_lsq(model, tech, clock, stages, space):
+    budget = tech.budget(clock, stages)
+    return max_fitting(space.lsq_sizes, lambda s: lsq_ns(model, s), budget)
+
+
+def _cache_level(space, level):
+    if level == 1:
+        return space.l1_geometries(), l1_cache_ns, space.max_l1_cycles
+    return space.l2_geometries(), l2_cache_ns, space.max_l2_cycles
+
+
+def _scan_geometries(model, tech, clock, cycles, space, level):
+    budget = tech.budget(clock, cycles)
+    candidates, delay, _ = _cache_level(space, level)
+    return [g for g in candidates if fits(delay(model, *g), budget)]
+
+
+def _scan_best(model, tech, clock, cycles, space, level, rng=None):
+    fitting = _scan_geometries(model, tech, clock, cycles, space, level)
+    if not fitting:
+        return None
+    if rng is not None:
+        nsets, assoc, block = fitting[int(rng.integers(0, len(fitting)))]
+    else:
+        nsets, assoc, block = max(fitting, key=lambda g: (g[0] * g[1] * g[2], g[1]))
+    return CacheGeometry(nsets, assoc, block, cycles)
+
+
+def _boundary_clocks(tech, delay, stages):
+    """Clocks whose ``stages``-stage budget lands on ``delay``: exactly,
+    at the edge of the 1e-9 slack, and just beyond it."""
+    clocks = [(delay - slack) / stages + tech.latch_latency_ns for slack in (0.0, 1e-9, 2e-9)]
+    return [c for c in clocks if tech.min_clock_ns <= c <= tech.max_clock_ns]
+
+
+@pytest.fixture()
+def fresh_model(tech):
+    """A model whose tables are built inside the test."""
+    return CactiModel(tech)
+
+
+@pytest.fixture(scope="module")
+def clock_grid():
+    tech = default_technology()
+    return [float(c) for c in np.linspace(tech.min_clock_ns, tech.max_clock_ns, 25)]
+
+
+class TestDelayTablesMatchScan:
+    """Table-driven fitting answers exactly what the CACTI scan answers."""
+
+    def test_scalar_units_on_clock_grid(self, fresh_model, tech, space, clock_grid):
+        for clock in clock_grid:
+            for width in space.widths:
+                for stages in range(1, 2 + space.max_wakeup_latency):
+                    assert max_iq_size(
+                        fresh_model, tech, clock, stages, width, space
+                    ) == _scan_iq(fresh_model, tech, clock, stages, width, space)
+                for stages in range(1, 1 + space.max_scheduler_depth):
+                    assert max_rob_size(
+                        fresh_model, tech, clock, stages, width, space
+                    ) == _scan_rob(fresh_model, tech, clock, stages, width, space)
+            for stages in range(1, 1 + space.max_lsq_depth):
+                assert max_lsq_size(fresh_model, tech, clock, stages, space) == _scan_lsq(
+                    fresh_model, tech, clock, stages, space
+                )
+
+    def test_scalar_units_on_budget_boundaries(self, fresh_model, tech, space):
+        checked = 0
+        for width in space.widths:
+            for stages in range(1, 2 + space.max_wakeup_latency):
+                for size in space.iq_sizes:
+                    delay = issue_queue_ns(fresh_model, size, width)
+                    for clock in _boundary_clocks(tech, delay, stages):
+                        assert max_iq_size(
+                            fresh_model, tech, clock, stages, width, space
+                        ) == _scan_iq(fresh_model, tech, clock, stages, width, space)
+                        checked += 1
+            for stages in range(1, 1 + space.max_scheduler_depth):
+                for size in space.rob_sizes:
+                    delay = regfile_ns(fresh_model, size, width)
+                    for clock in _boundary_clocks(tech, delay, stages):
+                        assert max_rob_size(
+                            fresh_model, tech, clock, stages, width, space
+                        ) == _scan_rob(fresh_model, tech, clock, stages, width, space)
+                        checked += 1
+        for stages in range(1, 1 + space.max_lsq_depth):
+            for size in space.lsq_sizes:
+                for clock in _boundary_clocks(tech, lsq_ns(fresh_model, size), stages):
+                    assert max_lsq_size(fresh_model, tech, clock, stages, space) == _scan_lsq(
+                        fresh_model, tech, clock, stages, space
+                    )
+                    checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_cache_levels_on_clock_grid(self, fresh_model, tech, space, clock_grid, level):
+        geometries, delay, cap = _cache_level(space, level)
+        for clock in clock_grid:
+            for cycles in range(1, cap + 1):
+                args = (tech, clock, cycles, space, level)
+                expected = _scan_geometries(fresh_model, *args)
+                assert fitting_cache_geometries(fresh_model, *args) == expected
+                assert best_cache_geometry(fresh_model, *args) == _scan_best(fresh_model, *args)
+                seed = len(expected) + cycles
+                picked = best_cache_geometry(
+                    fresh_model, *args, rng=np.random.default_rng(seed)
+                )
+                assert picked == _scan_best(
+                    fresh_model, *args, rng=np.random.default_rng(seed)
+                )
+            for g in geometries:
+                geometry = CacheGeometry(*g, latency_cycles=1)
+                expected = min_stages(delay(fresh_model, *g), tech, clock, cap)
+                assert (
+                    min_cache_cycles(fresh_model, tech, clock, geometry, space, level)
+                    == expected
+                )
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_cache_levels_on_budget_boundaries(self, fresh_model, tech, space, level):
+        geometries, delay, cap = _cache_level(space, level)
+        checked = 0
+        for cycles in range(1, cap + 1):
+            for g in geometries:
+                for clock in _boundary_clocks(tech, delay(fresh_model, *g), cycles):
+                    args = (tech, clock, cycles, space, level)
+                    assert fitting_cache_geometries(fresh_model, *args) == _scan_geometries(
+                        fresh_model, *args
+                    )
+                    checked += 1
+        assert checked > 100
+
+    def test_geometry_outside_the_space(self, fresh_model, tech):
+        """min_cache_cycles still times a geometry the space does not list."""
+        space = DesignSpace(l1_nsets=(64, 128))
+        geometry = CacheGeometry(nsets=1024, assoc=2, block_bytes=64, latency_cycles=1)
+        expected = min_stages(l1_cache_ns(fresh_model, 1024, 2, 64), tech, 0.33, 6)
+        assert min_cache_cycles(fresh_model, tech, 0.33, geometry, space, 1) == expected
+
+
+class TestDelayTablesReuse:
+    def test_repeat_queries_skip_cacti(self, fresh_model, tech, space):
+        """After the first query every answer comes from the tables."""
+
+        def queries():
+            for clock in (0.2, 0.33, 0.5):
+                max_iq_size(fresh_model, tech, clock, 2, 4, space)
+                max_rob_size(fresh_model, tech, clock, 2, 4, space)
+                max_lsq_size(fresh_model, tech, clock, 2, space)
+                fitting_cache_geometries(fresh_model, tech, clock, 3, space, 1)
+                best_cache_geometry(fresh_model, tech, clock, 12, space, 2)
+
+        queries()
+        lookups = (fresh_model.memo_hits, fresh_model.memo_misses)
+        queries()
+        assert (fresh_model.memo_hits, fresh_model.memo_misses) == lookups
+
+    def test_tables_do_not_keep_the_model_alive(self, tech, space):
+        """Tables live on the model without a reference cycle, so a model
+        (one per customize job) is freed by refcount, not by the cyclic GC."""
+        import gc
+        import weakref
+
+        model = CactiModel(tech)
+        max_rob_size(model, tech, 0.33, 2, 4, space)
+        best_cache_geometry(model, tech, 0.33, 12, space, 2)
+        alive = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_copied_model_rebuilds_for_its_own_space(self, fresh_model, tech):
+        """Tables are keyed by the space's identity, and a copied model
+        (as a worker process gets one) never answers from a stale entry."""
+        import copy
+
+        narrow = DesignSpace(lsq_sizes=(32,))
+        assert max_lsq_size(fresh_model, tech, 0.6, 4, narrow) == 32
+        clone = copy.deepcopy(fresh_model)
+        wide = DesignSpace()
+        clone.derived[id(wide)] = next(iter(clone.derived.values()))  # a stale key
+        assert max_lsq_size(clone, tech, 0.6, 4, wide) == _scan_lsq(clone, tech, 0.6, 4, wide)

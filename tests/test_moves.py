@@ -120,13 +120,14 @@ class _ForcedMoveRng:
     """Minimal rng stub: always selects move index ``move`` in propose
     and answers the move's own draws with the first choice offered."""
 
+    #: propose's move weights (clock, depth, width, size, geometry).
+    _WEIGHTS = (0.30, 0.25, 0.15, 0.15, 0.15)
+
     def __init__(self, move: int):
         self._move = move
 
-    def choice(self, options, p=None):
-        if isinstance(options, (int, np.integer)):  # propose's move pick
-            return self._move
-        return options[-1]
+    def random(self):  # propose's move pick: the middle of the move's slice
+        return sum(self._WEIGHTS[: self._move]) + self._WEIGHTS[self._move] / 2
 
     def uniform(self, lo, hi):
         return hi
@@ -184,3 +185,83 @@ class TestUntenableSpaces:
         result = annealer.run(initial_config, seed=0)
         assert result.evaluations == 1
         assert result.best_state == initial_config
+
+
+# ---------------------------------------------------------------------------
+# Draw stream: the lean draws against the rng.choice draws they replace
+# ---------------------------------------------------------------------------
+
+
+def _choice_pick(options, rng):
+    """A pick as the moves drew it with ``rng.choice`` over the list (the
+    geometry index of ``geometry_move`` was already an ``rng.integers``)."""
+    if isinstance(options[0], tuple):
+        return options[int(rng.integers(0, len(options)))]
+    return rng.choice(list(options)).item()
+
+
+class _ChoiceDrawMoves(MoveGenerator):
+    """The reference: move pick by ``rng.choice(5, p=weights)`` and the
+    clock clamped with ``np.clip``."""
+
+    def propose(self, config, rng):
+        moves = [
+            self.clock_move,
+            self.depth_move,
+            self.width_move,
+            self.size_move,
+            self.geometry_move,
+        ]
+        weights = np.array([0.30, 0.25, 0.15, 0.15, 0.15])
+        return moves[int(rng.choice(len(moves), p=weights))](config, rng)
+
+    def clock_move(self, config, rng):
+        from repro.uarch import refit_config
+
+        factor = rng.uniform(0.85, 1.18)
+        tech = self._tech
+        clock = float(
+            np.clip(config.clock_period_ns * factor, tech.min_clock_ns, tech.max_clock_ns)
+        )
+        if abs(clock - config.clock_period_ns) < 1e-6:
+            raise TimingError("clock move hit the clock-range boundary")
+        return refit_config(
+            config.replace(clock_period_ns=clock), self._tech, self._model, self._space, rng=rng
+        )
+
+
+def _walk(generator, config, seed, steps):
+    """Every proposal (or the error class it raised) and the final rng state."""
+    from repro.errors import ConfigurationError
+
+    rng = np.random.default_rng(seed)
+    trail = []
+    for _ in range(steps):
+        try:
+            config = generator.propose(config, rng)
+        except (TimingError, ConfigurationError) as exc:
+            trail.append(type(exc).__name__)
+            continue
+        trail.append(config)
+    return trail, rng.bit_generator.state
+
+
+class TestDrawStream:
+    def test_lean_draws_match_choice_draws(
+        self, tech, model, space, initial_config, monkeypatch
+    ):
+        import repro.explore.moves as moves_module
+
+        lean = MoveGenerator(tech, model, space)
+        reference = _ChoiceDrawMoves(tech, model, space)
+        walks = [_walk(lean, initial_config, seed, 500) for seed in range(50)]
+        monkeypatch.setattr(moves_module, "_pick", _choice_pick)
+        expected = [_walk(reference, initial_config, seed, 500) for seed in range(50)]
+
+        errors = set()
+        for (trail, state), (want_trail, want_state) in zip(walks, expected):
+            assert trail == want_trail
+            assert state == want_state
+            errors.update(step for step in trail if isinstance(step, str))
+        # Both kinds of skipped proposal occur, at the same positions.
+        assert errors == {"TimingError", "ConfigurationError"}

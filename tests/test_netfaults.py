@@ -16,6 +16,7 @@ Three layers:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -148,8 +149,16 @@ def test_chaos_matrix_each_fault_yields_correct_result_or_explicit_error(
                         proxy.base_url, timeout=5, retry_backpressure=True
                     ).stats()
             else:
-                with pytest.raises(ServeClientError):
+                with pytest.raises(ServeClientError) as failure:
                     ServeClient(proxy.base_url, timeout=5).stats()
+                cause = failure.value.__cause__
+                # The injected fault reaches the client as itself, never
+                # degraded into a wait for the client's own timeout.
+                assert not isinstance(cause, TimeoutError), f"{kind}: {cause!r}"
+                if kind in ("reset", "truncate"):
+                    assert isinstance(
+                        cause, (ConnectionError, http.client.HTTPException)
+                    ), f"{kind}: {cause!r}"
 
 
 def test_truncation_never_yields_partial_json(live_service):
@@ -180,23 +189,26 @@ def test_killed_proxy_refuses_like_a_dead_replica(live_service):
 # ----------------------------------------------------------------------
 
 
-def test_replica_set_placement_is_deterministic(tmp_path):
-    spec = f"sqlite:{tmp_path / 'shared.sqlite'}"
-    a = ServiceThread(ExplorationService(jobs=1, cache_backend=spec,
-                                         serve_dir=tmp_path / "a"))
-    b = ServiceThread(ExplorationService(jobs=1, cache_backend=spec,
-                                         serve_dir=tmp_path / "b"))
-    with a, b:
-        urls = [a.base_url, b.base_url]
-        rs1 = ReplicaSet(urls, seed=3)
-        rs2 = ReplicaSet(urls, seed=3)
-        keys = [ReplicaSet.payload_key(dict(JOB, seed=n)) for n in range(8)]
-        assert [rs1.pick(k) for k in keys] == [rs2.pick(k) for k in keys]
-        # A different seed reshuffles at least one placement.
-        rs3 = ReplicaSet(urls, seed=4)
-        assert any(
-            rs1.pick(k) != rs3.pick(k) for k in keys
-        ) or len(set(urls)) == 1
+def test_replica_set_placement_is_deterministic():
+    """Rendezvous placement is a pure function of (seed, url, key), shown
+    on fixed synthetic URLs: no live replica, no ephemeral-port luck."""
+    urls = [
+        "http://replica-a.invalid:8001",
+        "http://replica-b.invalid:8002",
+        "http://replica-c.invalid:8003",
+    ]
+    keys = [ReplicaSet.payload_key(dict(JOB, seed=n)) for n in range(8)]
+    rs1 = ReplicaSet(urls, seed=3)
+    rs2 = ReplicaSet(urls, seed=3)
+    ranks = [rs1.rank(k, candidates=urls) for k in keys]
+    assert ranks == [rs2.rank(k, candidates=urls) for k in keys]
+    # The ranking does not depend on the order candidates are listed in.
+    assert ranks == [rs1.rank(k, candidates=urls[::-1]) for k in keys]
+    assert all(sorted(rank) == sorted(urls) for rank in ranks)
+    # Placements spread over the set, and a different seed reshuffles them.
+    assert len({rank[0] for rank in ranks}) > 1
+    rs3 = ReplicaSet(urls, seed=4)
+    assert [rank[0] for rank in ranks] != [rs3.rank(k, candidates=urls)[0] for k in keys]
 
 
 def test_replica_set_fails_over_submit_and_wait(tmp_path):
