@@ -76,7 +76,6 @@ from .engine import (
     RunInterrupted,
     RunJournal,
     ShutdownCoordinator,
-    TelemetryCollector,
     digest,
     list_runs,
     write_text_atomic,
@@ -769,9 +768,9 @@ def _build_engine(args) -> EvaluationEngine:
 
 
 def _attach_telemetry(args, engine: EvaluationEngine) -> None:
-    """Hook the journal, metrics collector and TTY heartbeat to the bus.
+    """Hook the journal and TTY heartbeat to the bus.
 
-    All three are strictly passive subscribers: they never touch stdout
+    Both are strictly passive subscribers: they never touch stdout
     (the golden/determinism suites diff stdout) and never change what
     the engine computes.  A run directory journals automatically;
     ``--journal`` opts standalone invocations in.
@@ -782,10 +781,8 @@ def _attach_telemetry(args, engine: EvaluationEngine) -> None:
         journal_path = run.journal_path
     if journal_path is not None:
         args._journal = RunJournal(journal_path).attach(engine.events)
-    if getattr(args, "metrics_out", None) is not None:
-        args._collector = TelemetryCollector(engine.events)
     if not getattr(args, "no_progress", False):
-        heartbeat = ProgressLine(engine.events)
+        heartbeat = ProgressLine(engine.events, engine.metrics)
         if heartbeat.active:
             args._heartbeat = heartbeat
         else:
@@ -801,9 +798,8 @@ def _finish(args, engine: EvaluationEngine | None) -> int:
         if getattr(args, "stats", False):
             print(f"--- engine stats ---\n{engine.metrics.summary()}")
         engine.close()
-    collector = getattr(args, "_collector", None)
-    if collector is not None:
-        collector.registry.write(pathlib.Path(args.metrics_out))
+        if getattr(args, "metrics_out", None) is not None:
+            engine.metrics.registry.write(pathlib.Path(args.metrics_out))
     journal = getattr(args, "_journal", None)
     if journal is not None:
         journal.close()
@@ -1448,6 +1444,7 @@ def _print_client_counters(client) -> None:
 _WATCH_DETAIL_KEYS = (
     "job", "phase", "name", "benchmark", "config", "status", "key",
     "method", "from", "to", "replica", "replica_id", "seconds", "error",
+    "evaluation", "cache_hit", "cache_miss",
 )
 
 

@@ -46,7 +46,7 @@ from .cache_backends import (
     register_backend,
 )
 from .checkpoint import CheckpointManager
-from .events import EngineMetrics, EventBus
+from .events import EventBus
 from .io_atomic import (
     file_sha256,
     is_storage_error,
@@ -89,12 +89,12 @@ from .telemetry import (
     JOURNAL_FILE,
     TRACEPARENT_HEADER,
     Counter,
+    EngineMetrics,
     Gauge,
     Histogram,
     MetricsRegistry,
     ProgressLine,
     RunJournal,
-    TelemetryCollector,
     TraceContext,
     activate_trace,
     current_trace,
@@ -178,7 +178,6 @@ __all__ = [
     "MetricsRegistry",
     "ProgressLine",
     "RunJournal",
-    "TelemetryCollector",
     "TraceContext",
     "activate_trace",
     "current_trace",

@@ -20,14 +20,13 @@ identifiers, so a subscriber (the journal) can reconstruct the nesting
 tree of a whole run — including per-task spans stitched in from worker
 processes by the pool (see :mod:`repro.engine.telemetry`).
 
-:class:`EngineMetrics` is the standard subscriber: it aggregates the
-counters every caller wants (evaluations, hit rate, per-phase wall time)
-and renders a one-line summary for the CLI.
+The standard subscriber, :class:`~repro.engine.telemetry.EngineMetrics`,
+lives with the metrics registry it feeds.
 """
 
 from __future__ import annotations
 
-import os
+import secrets
 import sys
 import time
 from contextlib import contextmanager
@@ -36,9 +35,9 @@ from typing import Any, Callable, Iterator
 Callback = Callable[[str, dict], Any]
 
 
-def new_trace_id() -> str:
-    """A fresh trace identifier (unique per process + instant)."""
-    return f"{os.getpid():05d}-{time.time_ns() & 0xFFFFFFFFFF:010x}"
+def mint_trace_id() -> str:
+    """A fresh 128-bit trace id (32 lowercase hex chars, W3C shape)."""
+    return secrets.token_hex(16)
 
 
 class EventBus:
@@ -57,7 +56,7 @@ class EventBus:
     def __init__(self) -> None:
         self._subscribers: list[Callback] = []
         self._warned: set[int] = set()
-        self.trace_id = new_trace_id()
+        self.trace_id = mint_trace_id()
         self.tracing = False
         self._span_stack: list[str] = []
         self._span_count = 0
@@ -161,155 +160,3 @@ class EventBus:
         return self.span(
             name, kind="phase", _start_event="phase_start", _end_event="phase_end"
         )
-
-
-class EngineMetrics:
-    """Aggregated counters over one bus: the engine's odometer.
-
-    ``evaluations`` counts *actual simulator invocations* (cache hits do
-    not simulate, so they are excluded — this is the counter the
-    redundancy tests assert on).  ``phase_seconds`` accumulates wall time
-    per named phase.
-    """
-
-    def __init__(self, bus: EventBus | None = None) -> None:
-        self.evaluations = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.batches = 0
-        self.fallbacks = 0
-        self.checkpoints = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.pool_restarts = 0
-        self.quarantines = 0
-        self.storage_degradations = 0
-        self.lock_takeovers = 0
-        self.searches = 0
-        self.search_evaluations = 0
-        self.search_plateau_max = 0
-        self._acceptance_sum = 0.0
-        self.searches_by_strategy: dict[str, int] = {}
-        self.phase_seconds: dict[str, float] = {}
-        if bus is not None:
-            bus.subscribe(self._on_event)
-
-    def _on_event(self, event: str, payload: dict) -> None:
-        if event == "evaluation":
-            self.evaluations += payload.get("count", 1)
-        elif event == "cache_hit":
-            self.cache_hits += payload.get("count", 1)
-        elif event == "cache_miss":
-            self.cache_misses += payload.get("count", 1)
-        elif event == "batch":
-            self.batches += 1
-        elif event == "fallback":
-            self.fallbacks += 1
-        elif event == "checkpoint":
-            self.checkpoints += 1
-        elif event == "retry":
-            self.retries += 1
-        elif event == "task_timeout":
-            self.timeouts += 1
-        elif event == "pool_restart":
-            self.pool_restarts += 1
-        elif event == "quarantine":
-            self.quarantines += 1
-        elif event == "storage_degraded":
-            self.storage_degradations += 1
-        elif event == "lock_takeover":
-            self.lock_takeovers += 1
-        elif event == "search_run":
-            self.searches += 1
-            self.search_evaluations += payload.get("evaluations", 0)
-            self.search_plateau_max = max(
-                self.search_plateau_max, payload.get("plateau", 0)
-            )
-            self._acceptance_sum += payload.get("acceptance_rate", 0.0)
-            strategy = payload.get("strategy", "?")
-            self.searches_by_strategy[strategy] = (
-                self.searches_by_strategy.get(strategy, 0) + 1
-            )
-        elif event == "phase_end":
-            name = payload.get("name", "?")
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0) + payload.get("seconds", 0.0)
-            )
-
-    @property
-    def lookups(self) -> int:
-        """Total cache lookups observed."""
-        return self.cache_hits + self.cache_misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of cache lookups served from cache (0 when none)."""
-        total = self.lookups
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def mean_acceptance_rate(self) -> float:
-        """Mean per-search acceptance rate (0 when no searches ran)."""
-        return self._acceptance_sum / self.searches if self.searches else 0.0
-
-    def snapshot(self) -> dict[str, Any]:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "batches": self.batches,
-            "fallbacks": self.fallbacks,
-            "checkpoints": self.checkpoints,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_restarts": self.pool_restarts,
-            "quarantines": self.quarantines,
-            "storage_degradations": self.storage_degradations,
-            "lock_takeovers": self.lock_takeovers,
-            "searches": self.searches,
-            "search_evaluations": self.search_evaluations,
-            "search_plateau_max": self.search_plateau_max,
-            "mean_acceptance_rate": self.mean_acceptance_rate,
-            "searches_by_strategy": dict(self.searches_by_strategy),
-            "phase_seconds": dict(self.phase_seconds),
-        }
-
-    def summary(self) -> str:
-        """Human-readable one-stop summary for the CLI's ``--stats``."""
-        lines = [
-            f"evaluations: {self.evaluations} simulated, "
-            f"{self.cache_hits} cache hits "
-            f"({self.hit_rate * 100:.1f}% hit rate over {self.lookups} lookups)",
-        ]
-        if self.searches:
-            by_strategy = ", ".join(
-                f"{name} x{count}"
-                for name, count in sorted(self.searches_by_strategy.items())
-            )
-            lines.append(
-                f"searches: {self.searches} runs ({by_strategy}), "
-                f"{self.search_evaluations} search evaluations, "
-                f"mean acceptance {self.mean_acceptance_rate * 100:.1f}%, "
-                f"longest plateau {self.search_plateau_max}"
-            )
-        # Hottest phase first: sorted descending by wall time (ties by
-        # name) so the line that matters leads, not insertion order.
-        for name, seconds in sorted(
-            self.phase_seconds.items(), key=lambda item: (-item[1], item[0])
-        ):
-            lines.append(f"phase {name}: {seconds:.2f}s")
-        if self.fallbacks:
-            lines.append(f"serial fallbacks: {self.fallbacks}")
-        if self.retries or self.timeouts or self.pool_restarts or self.quarantines:
-            lines.append(
-                f"resilience: {self.retries} retries, {self.timeouts} timeouts, "
-                f"{self.pool_restarts} pool restarts, "
-                f"{self.quarantines} quarantined"
-            )
-        if self.storage_degradations or self.lock_takeovers:
-            lines.append(
-                f"durability: {self.storage_degradations} storage degradations, "
-                f"{self.lock_takeovers} lock takeovers"
-            )
-        return "\n".join(lines)

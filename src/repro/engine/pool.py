@@ -52,7 +52,7 @@ from ..sim.interval_batch import BatchIntervalModel
 from ..sim.metrics import SimResult
 from ..workloads.profile import WorkloadProfile
 from .cache import ResultCache
-from .events import EngineMetrics, EventBus
+from .events import EventBus
 from .faults import WRONG_RESULT, FaultPlan, InjectedCrash, InjectedFault, corrupt_result, enact
 from .keys import digest, evaluation_key, simulator_id
 from .resilience import (
@@ -61,6 +61,7 @@ from .resilience import (
     failure_reason,
     validate_result,
 )
+from .telemetry import EngineMetrics
 
 T = TypeVar("T")
 U = TypeVar("U")

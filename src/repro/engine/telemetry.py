@@ -5,25 +5,28 @@ evaporates at process exit; this module makes the announcement durable
 and measurable, so a three-hour pipeline run can be debugged *after* it
 finished (or crashed):
 
-* :class:`RunJournal` — an append-only JSONL journal of every bus event,
-  one line per event with a monotonic sequence number and wall-clock
-  timestamp.  Appends are flushed per line (a SIGKILL loses at most the
-  line in flight), rotation is size-capped (``events.jsonl`` →
-  ``events.jsonl.1`` …), and reopening a journal — a resumed run —
-  recovers the last sequence number so numbering stays monotonic across
-  attempts.  Storage failures degrade (warn once, keep computing),
-  mirroring the manifest/cache tiers.
+* :class:`RunJournal` — an append-only JSONL journal of the bus's event
+  stream, one line per event with a monotonic sequence number and
+  wall-clock timestamp.  The per-evaluation count events are summed in
+  memory and written as one ``counters`` record before the next other
+  event (and on sync/close/detach), so a SIGKILL loses at most the counts
+  since the last non-count event.  Appends are flushed per line,
+  rotation is size-capped (``events.jsonl`` → ``events.jsonl.1`` …), and
+  reopening a journal — a resumed run — recovers the last sequence
+  number so numbering stays monotonic across attempts.  Storage failures
+  degrade (warn once, keep computing), mirroring the manifest/cache tiers.
 * :class:`MetricsRegistry` / :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — a minimal metrics surface with log-scale
   histogram buckets, exportable as JSON or Prometheus textfile format
   (the ``--metrics-out`` flag).
-* :class:`TelemetryCollector` — the standard registry wiring over one
-  bus: evaluation counts, cache hit/miss, batch sizes, per-task
-  evaluation latency and queue wait (from the pool's ``task_span``
-  events), phase durations, retries, search timings.
+* :class:`EngineMetrics` — the one subscriber that counts engine events:
+  evaluation counts, cache hit/miss, batches and resilience counters in
+  its registry, next to the histograms (batch size, per-task evaluation
+  latency and queue wait, phase durations, search timings); it renders
+  the ``--stats`` summary.
 * :class:`ProgressLine` — a lightweight single-line TTY heartbeat
-  (``\\r``-rewritten, rate-limited) so interactive runs show progress
-  without scrolling; inert on non-TTY streams.
+  (``\\r``-rewritten, rate-limited) that renders an
+  :class:`EngineMetrics`; inert on non-TTY streams.
 
 Analysis of a written journal lives in :mod:`repro.engine.trace` (the
 ``repro trace`` CLI).  Telemetry is strictly passive: attaching or
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
-from .events import EventBus
+from .events import EventBus, mint_trace_id
 from .io_atomic import is_storage_error, write_text_atomic
 
 #: Journal file name inside a run directory.
@@ -56,6 +59,10 @@ JOURNAL_FILE = "events.jsonl"
 DEFAULT_ROTATE_BYTES = 32 * 1024 * 1024
 
 _ROTATED_RE = re.compile(r"\.(\d+)$")
+
+#: The bus's count events: each payload's ``count`` says how many.  The
+#: journal sums them into one ``counters`` record per flush point.
+COUNT_EVENTS = ("evaluation", "cache_hit", "cache_miss")
 
 
 def _jsonable(value: Any) -> Any:
@@ -76,11 +83,6 @@ _TRACE_VERSION = "00"
 _TRACEPARENT_RE = re.compile(
     r"^([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$"
 )
-
-
-def mint_trace_id() -> str:
-    """A fresh 128-bit trace id (32 lowercase hex chars)."""
-    return secrets.token_hex(16)
 
 
 def mint_span_id() -> str:
@@ -204,6 +206,10 @@ class RunJournal:
     Use :meth:`attach` to subscribe it to a bus (this also flips the
     bus's ``tracing`` flag on, telling the pool to ship per-task span
     telemetry home from workers), and :meth:`close` to flush and fsync.
+    Bus :data:`COUNT_EVENTS` are not journaled one by one: their counts
+    are summed and written as one ``counters`` record (``evaluation``,
+    ``cache_hit``, ``cache_miss``) just before the next other record,
+    and on :meth:`sync`, :meth:`close` and :meth:`detach`.
     """
 
     def __init__(
@@ -219,6 +225,7 @@ class RunJournal:
         self._size = 0
         self._degraded = False
         self._bus: EventBus | None = None
+        self._pending = dict.fromkeys(COUNT_EVENTS, 0)
         self._seq = self._recover_seq()
 
     # -- recovery -------------------------------------------------------
@@ -260,12 +267,26 @@ class RunJournal:
     # -- writing --------------------------------------------------------
 
     def _on_event(self, event: str, payload: dict) -> None:
-        self.append(event, payload)
+        if event in self._pending:
+            self._pending[event] += payload.get("count", 1)
+        else:
+            self.append(event, payload)
+
+    def _flush_counts(self) -> None:
+        """Write the summed count events as one ``counters`` record."""
+        if any(self._pending.values()):
+            counts, self._pending = self._pending, dict.fromkeys(COUNT_EVENTS, 0)
+            self.append("counters", counts)
 
     def append(self, event: str, payload: dict | None = None) -> None:
-        """Append one event as a JSON line (no-op once degraded)."""
+        """Append one event as a JSON line (no-op once degraded).
+
+        Pending bus counts are written first, as their own ``counters``
+        record, so the journal keeps program order.
+        """
         if self._degraded:
             return
+        self._flush_counts()
         record: dict[str, Any] = {
             "seq": self._seq + 1,
             "ts": round(time.time(), 6),
@@ -330,7 +351,8 @@ class RunJournal:
             )
 
     def sync(self) -> None:
-        """Flush and fsync the journal (called at checkpoints/close)."""
+        """Write pending counts, then flush and fsync the journal."""
+        self._flush_counts()
         if self._handle is None or self._handle.closed:
             return
         try:
@@ -763,49 +785,71 @@ def render_prometheus_snapshot(snapshot: dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# the standard collector: bus events -> metrics
+# the engine's odometer: bus events -> metrics
 # ----------------------------------------------------------------------
 
+#: Counters exported under ``--metrics-out``, in export order:
+#: (bus event, family, HELP).  Each event adds one, or its ``count`` for
+#: the :data:`COUNT_EVENTS`.
+_EXPORTED_COUNTERS = (
+    ("evaluation", "repro_evaluations_total", "Fresh simulator invocations"),
+    ("cache_hit", "repro_cache_hits_total", "Result-cache lookups served from cache"),
+    ("cache_miss", "repro_cache_misses_total", "Result-cache lookups that simulated"),
+    ("batch", "repro_batches_total", "evaluate_many batch dispatches"),
+    ("retry", "repro_retries_total", "Evaluation retries"),
+    (
+        "task_timeout",
+        "repro_task_timeouts_total",
+        "Tasks that overran the per-task deadline",
+    ),
+    ("pool_restart", "repro_pool_restarts_total", "Worker-pool rebuilds"),
+    ("search_run", "repro_search_runs_total", "Design-space searches completed"),
+    ("checkpoint", "repro_checkpoints_total", "Checkpoint saves"),
+)
 
-class TelemetryCollector:
-    """Populate a :class:`MetricsRegistry` from one bus's event stream.
+#: Events counted for ``--stats`` only, outside the exported registry.
+_LOCAL_COUNTERS = ("fallback", "quarantine", "storage_degraded", "lock_takeover")
 
-    The counter set mirrors :class:`~repro.engine.events.EngineMetrics`
-    (which stays the ``--stats`` renderer); the histograms are what the
-    odometer cannot express — evaluation latency, queue wait, batch
-    size, phase duration, search move latency.
+
+def _counted(event: str) -> property:
+    """A read-only view of how many ``event`` events were observed."""
+    return property(lambda self: self._counters[event].value)
+
+
+class EngineMetrics:
+    """The one subscriber that counts engine events: the engine's odometer.
+
+    Its counters live in :attr:`registry` (the ``--metrics-out`` export),
+    next to the histograms an odometer cannot express — batch size,
+    per-task evaluation latency and queue wait (from the pool's
+    ``task_span`` events), phase durations, search wall time and move
+    latency.  ``evaluations`` counts *actual simulator invocations*
+    (cache hits do not simulate, so they are excluded — this is the
+    counter the redundancy tests assert on).  ``phase_seconds``
+    accumulates wall time per named phase; :meth:`summary` renders the
+    ``--stats`` text.
     """
 
-    def __init__(
-        self, bus: EventBus | None = None, registry: MetricsRegistry | None = None
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        r = self.registry
-        self._evaluations = r.counter(
-            "repro_evaluations_total", "Fresh simulator invocations"
-        )
-        self._cache_hits = r.counter(
-            "repro_cache_hits_total", "Result-cache lookups served from cache"
-        )
-        self._cache_misses = r.counter(
-            "repro_cache_misses_total", "Result-cache lookups that simulated"
-        )
-        self._batches = r.counter(
-            "repro_batches_total", "evaluate_many batch dispatches"
-        )
-        self._retries = r.counter("repro_retries_total", "Evaluation retries")
-        self._timeouts = r.counter(
-            "repro_task_timeouts_total", "Tasks that overran the per-task deadline"
-        )
-        self._pool_restarts = r.counter(
-            "repro_pool_restarts_total", "Worker-pool rebuilds"
-        )
-        self._searches = r.counter(
-            "repro_search_runs_total", "Design-space searches completed"
-        )
-        self._checkpoints = r.counter(
-            "repro_checkpoints_total", "Checkpoint saves"
-        )
+    evaluations = _counted("evaluation")
+    cache_hits = _counted("cache_hit")
+    cache_misses = _counted("cache_miss")
+    batches = _counted("batch")
+    retries = _counted("retry")
+    timeouts = _counted("task_timeout")
+    pool_restarts = _counted("pool_restart")
+    searches = _counted("search_run")
+    checkpoints = _counted("checkpoint")
+    fallbacks = _counted("fallback")
+    quarantines = _counted("quarantine")
+    storage_degradations = _counted("storage_degraded")
+    lock_takeovers = _counted("lock_takeover")
+
+    def __init__(self, bus: EventBus | None = None) -> None:
+        self.registry = r = MetricsRegistry()
+        self._counters: dict[str, Counter] = {
+            event: r.counter(family, help) for event, family, help in _EXPORTED_COUNTERS
+        }
+        self._counters.update((event, Counter(event)) for event in _LOCAL_COUNTERS)
         self._batch_size = r.histogram(
             "repro_batch_size",
             "Pairs requested per evaluate_many batch",
@@ -819,7 +863,7 @@ class TelemetryCollector:
             "repro_queue_wait_seconds",
             "Delay between batch submission and task start in a worker",
         )
-        self._phase_seconds = r.histogram(
+        self._phase_histogram = r.histogram(
             "repro_phase_seconds", "Wall time per completed phase"
         )
         self._search_seconds = r.histogram(
@@ -829,29 +873,25 @@ class TelemetryCollector:
             "repro_search_move_latency_seconds",
             "Mean per-move latency of timed searches",
         )
+        self.search_evaluations = 0
+        self.search_plateau_max = 0
+        self._acceptance_sum = 0.0
+        self.searches_by_strategy: dict[str, int] = {}
+        self.phase_seconds: dict[str, float] = {}
         if bus is not None:
-            bus.subscribe(self.on_event)
+            bus.subscribe(self._on_event)
 
-    def on_event(self, event: str, payload: dict) -> None:
-        if event == "evaluation":
-            self._evaluations.inc(payload.get("count", 1))
-        elif event == "cache_hit":
-            self._cache_hits.inc(payload.get("count", 1))
-        elif event == "cache_miss":
-            self._cache_misses.inc(payload.get("count", 1))
-        elif event == "batch":
-            self._batches.inc()
+    def _on_event(self, event: str, payload: dict) -> None:
+        counter = self._counters.get(event)
+        if counter is not None:
+            counter.inc(payload.get("count", 1) if event in COUNT_EVENTS else 1)
+        if event == "batch":
             self._batch_size.observe(payload.get("size", 0))
-        elif event == "retry":
-            self._retries.inc()
-        elif event == "task_timeout":
-            self._timeouts.inc()
-        elif event == "pool_restart":
-            self._pool_restarts.inc()
-        elif event == "checkpoint":
-            self._checkpoints.inc()
         elif event == "phase_end":
-            self._phase_seconds.observe(payload.get("seconds", 0.0))
+            name = payload.get("name", "?")
+            seconds = payload.get("seconds", 0.0)
+            self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
+            self._phase_histogram.observe(seconds)
         elif event == "task_span":
             seconds = payload.get("seconds")
             if seconds is not None:
@@ -864,18 +904,103 @@ class TelemetryCollector:
             if wait is not None:
                 self._queue_wait.observe(max(float(wait), 0.0))
         elif event == "search_run":
-            self._searches.inc()
-            seconds = payload.get("seconds")
-            if seconds is not None:
-                self._search_seconds.observe(seconds)
-                moves = max(int(payload.get("moves", 0) or 0), 1)
-                self._move_latency.observe(seconds / moves)
+            self.search_evaluations += payload.get("evaluations", 0)
+            self.search_plateau_max = max(
+                self.search_plateau_max, payload.get("plateau", 0)
+            )
+            self._acceptance_sum += payload.get("acceptance_rate", 0.0)
+            strategy = payload.get("strategy", "?")
+            self.searches_by_strategy[strategy] = (
+                self.searches_by_strategy.get(strategy, 0) + 1
+            )
+            self._observe_search(payload)
         elif event == "strategy_timing":
-            seconds = payload.get("seconds")
-            if seconds is not None:
-                self._search_seconds.observe(seconds)
-                moves = max(int(payload.get("moves", 0) or 0), 1)
-                self._move_latency.observe(seconds / moves)
+            self._observe_search(payload)
+
+    def _observe_search(self, payload: dict) -> None:
+        seconds = payload.get("seconds")
+        if seconds is not None:
+            self._search_seconds.observe(seconds)
+            moves = max(int(payload.get("moves", 0) or 0), 1)
+            self._move_latency.observe(seconds / moves)
+
+    @property
+    def lookups(self) -> int:
+        """Total cache lookups observed."""
+        return self.cache_hits + self.cache_misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of cache lookups served from cache (0 when none)."""
+        total = self.lookups
+        return self.cache_hits / total if total else 0.0
+
+    @property
+    def mean_acceptance_rate(self) -> float:
+        """Mean per-search acceptance rate (0 when no searches ran)."""
+        return self._acceptance_sum / self.searches if self.searches else 0.0
+
+    def snapshot(self) -> dict[str, Any]:
+        """Point-in-time copy of every counter (for before/after deltas)."""
+        return {
+            "evaluations": self.evaluations,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "batches": self.batches,
+            "fallbacks": self.fallbacks,
+            "checkpoints": self.checkpoints,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "pool_restarts": self.pool_restarts,
+            "quarantines": self.quarantines,
+            "storage_degradations": self.storage_degradations,
+            "lock_takeovers": self.lock_takeovers,
+            "searches": self.searches,
+            "search_evaluations": self.search_evaluations,
+            "search_plateau_max": self.search_plateau_max,
+            "mean_acceptance_rate": self.mean_acceptance_rate,
+            "searches_by_strategy": dict(self.searches_by_strategy),
+            "phase_seconds": dict(self.phase_seconds),
+        }
+
+    def summary(self) -> str:
+        """Human-readable one-stop summary for the CLI's ``--stats``."""
+        lines = [
+            f"evaluations: {self.evaluations} simulated, "
+            f"{self.cache_hits} cache hits "
+            f"({self.hit_rate * 100:.1f}% hit rate over {self.lookups} lookups)",
+        ]
+        if self.searches:
+            by_strategy = ", ".join(
+                f"{name} x{count}"
+                for name, count in sorted(self.searches_by_strategy.items())
+            )
+            lines.append(
+                f"searches: {self.searches} runs ({by_strategy}), "
+                f"{self.search_evaluations} search evaluations, "
+                f"mean acceptance {self.mean_acceptance_rate * 100:.1f}%, "
+                f"longest plateau {self.search_plateau_max}"
+            )
+        # Hottest phase first: sorted descending by wall time (ties by
+        # name) so the line that matters leads, not insertion order.
+        for name, seconds in sorted(
+            self.phase_seconds.items(), key=lambda item: (-item[1], item[0])
+        ):
+            lines.append(f"phase {name}: {seconds:.2f}s")
+        if self.fallbacks:
+            lines.append(f"serial fallbacks: {self.fallbacks}")
+        if self.retries or self.timeouts or self.pool_restarts or self.quarantines:
+            lines.append(
+                f"resilience: {self.retries} retries, {self.timeouts} timeouts, "
+                f"{self.pool_restarts} pool restarts, "
+                f"{self.quarantines} quarantined"
+            )
+        if self.storage_degradations or self.lock_takeovers:
+            lines.append(
+                f"durability: {self.storage_degradations} storage degradations, "
+                f"{self.lock_takeovers} lock takeovers"
+            )
+        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -888,25 +1013,25 @@ class ProgressLine:
 
     Subscribes to a bus and rewrites one ``\\r``-terminated stderr line
     (current phase, evaluation count, cache hit rate, elapsed time) at
-    most every ``interval`` seconds.  On a non-TTY stream every update
-    is suppressed, so batch logs and tests never see it.  Call
+    most every ``interval`` seconds, reading the counts from ``metrics``
+    (it keeps none of its own).  On a non-TTY stream every update is
+    suppressed, so batch logs and tests never see it.  Call
     :meth:`close` to clear the line before normal output resumes.
     """
 
     def __init__(
         self,
         bus: EventBus,
+        metrics: EngineMetrics,
         stream: TextIO | None = None,
         interval: float = 0.5,
     ) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
+        self.metrics = metrics
         self._started = time.monotonic()
         self._last_write = 0.0
         self._phase = ""
-        self._evaluations = 0
-        self._hits = 0
-        self._lookups = 0
         self._dirty = False
         self._width = 0
         self._bus = bus
@@ -926,14 +1051,6 @@ class ProgressLine:
     def _on_event(self, event: str, payload: dict) -> None:
         if event == "phase_start":
             self._phase = payload.get("name", "")
-        elif event == "evaluation":
-            self._evaluations += payload.get("count", 1)
-        elif event == "cache_hit":
-            count = payload.get("count", 1)
-            self._hits += count
-            self._lookups += count
-        elif event == "cache_miss":
-            self._lookups += count if (count := payload.get("count", 1)) else 0
         self._maybe_render()
 
     def _maybe_render(self) -> None:
@@ -944,9 +1061,10 @@ class ProgressLine:
             return
         self._last_write = now
         elapsed = now - self._started
-        rate = f"{self._hits / self._lookups * 100:.0f}%" if self._lookups else "-"
+        metrics = self.metrics
+        rate = f"{metrics.hit_rate * 100:.0f}%" if metrics.lookups else "-"
         line = (
-            f"[{self._phase or 'run'}] evals {self._evaluations} | "
+            f"[{self._phase or 'run'}] evals {metrics.evaluations} | "
             f"cache {rate} | {elapsed:.0f}s"
         )
         pad = max(self._width - len(line), 0)

@@ -42,9 +42,12 @@ class TraceError(ReproError):
 #: readers skip those with a *counted* warning instead of misparsing.
 KNOWN_EVENTS = frozenset(
     {
+        # Journals written before count coalescing hold one line per
+        # count event; newer ones hold summed ``counters`` records.
         "evaluation",
         "cache_hit",
         "cache_miss",
+        "counters",
         "batch",
         "retry",
         "task_timeout",
@@ -305,6 +308,10 @@ def summarize(events: Iterable[dict]) -> TraceSummary:
             summary.cache_hits += _as_int(record.get("count", 1), 1)
         elif name == "cache_miss":
             summary.cache_misses += _as_int(record.get("count", 1), 1)
+        elif name == "counters":
+            summary.evaluations += _as_int(record.get("evaluation", 0))
+            summary.cache_hits += _as_int(record.get("cache_hit", 0))
+            summary.cache_misses += _as_int(record.get("cache_miss", 0))
         elif name == "batch":
             summary.batches += 1
         elif name == "retry":

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.cli import _format_watch_event
 from repro.engine.telemetry import RunJournal, journal_files
 from repro.serve import JournalFollower, ServeClient, format_sse
 from repro.serve.service import ExplorationService, ServiceThread
@@ -168,6 +169,35 @@ def test_stream_replays_finished_job_from_scratch(live_service):
     replay_two = list(live_service.events(job_id))
     assert [e["seq"] for e in replay_one] == [e["seq"] for e in replay_two]
     assert replay_one[-1]["event"] == "job_end"
+
+
+def test_stream_carries_job_counts_before_job_end(live_service):
+    submitted = live_service.submit(
+        {"kind": "customize", "benchmarks": ["mcf"], "iterations": 25, "seed": 11}
+    )
+    events = list(live_service.events(submitted["id"]))
+    kinds = [e["event"] for e in events]
+    assert not {"evaluation", "cache_hit", "cache_miss"} & set(kinds)
+    counters = [e for e in events if e["event"] == "counters"]
+    assert counters and kinds.index("counters") < kinds.index("job_end")
+    stats = live_service.status(submitted["id"])["stats"]
+    assert stats["evaluations"] > 0
+    for record_key, stats_key in (
+        ("evaluation", "evaluations"),
+        ("cache_hit", "cache_hits"),
+        ("cache_miss", "cache_misses"),
+    ):
+        assert sum(e[record_key] for e in counters) == stats[stats_key], stats_key
+
+
+def test_watch_line_shows_coalesced_counts():
+    line = _format_watch_event(
+        {"seq": 9, "event": "counters", "evaluation": 12, "cache_hit": 3,
+         "cache_miss": 12, "trace_id": "ab" * 16}
+    )
+    assert line == (
+        f"[9] counters evaluation=12 cache_hit=3 cache_miss=12 trace={'ab' * 16}"
+    )
 
 
 def test_stream_for_unknown_job_is_404(live_service):

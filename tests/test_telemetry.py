@@ -2,20 +2,20 @@
 
 import io
 import json
+import re
 
 import pytest
 
 from repro.engine import (
+    EngineMetrics,
     EvaluationEngine,
     EventBus,
     MetricsRegistry,
     ProgressLine,
     RunJournal,
-    TelemetryCollector,
     journal_files,
 )
-from repro.engine.events import EngineMetrics
-from repro.engine.telemetry import Histogram, log_buckets
+from repro.engine.telemetry import COUNT_EVENTS, Histogram, log_buckets
 from repro.workloads import spec2000_profile
 
 
@@ -99,6 +99,12 @@ class TestSpans:
             with bus.span("c") as c:
                 ids[-1] += (c,)
         assert ids[0] == ids[1] == ("s00001", "s00002", "s00003")
+
+    def test_bus_trace_is_a_w3c_trace_id_per_bus(self):
+        first, second = EventBus(), EventBus()
+        for bus in (first, second):
+            assert re.fullmatch(r"[0-9a-f]{32}", bus.trace_id)
+        assert first.trace_id != second.trace_id
 
 
 class TestEngineMetrics:
@@ -197,7 +203,8 @@ class TestRunJournal:
         bus.emit("evaluation", count=1)
         journal.close()
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0]["event"] == "evaluation"
+        assert lines[0]["event"] == "counters"
+        assert lines[0]["evaluation"] == 1
 
     def test_unjsonable_payload_degrades_to_repr(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -293,19 +300,54 @@ class TestMetricsRegistry:
         assert "repro_evals_total 7" in prom_path.read_text()
 
 
-class TestTelemetryCollector:
+class TestJournalCountCoalescing:
+    def test_count_events_coalesce_before_the_next_record(self, tmp_path):
+        bus = EventBus()
+        path = tmp_path / "events.jsonl"
+        journal = RunJournal(path).attach(bus)
+        bus.emit("evaluation", count=2)
+        bus.emit("cache_miss", count=2)
+        bus.emit("cache_hit")
+        bus.emit("batch", size=3)
+        bus.emit("evaluation", count=1)
+        journal.detach()
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [l["event"] for l in lines] == ["counters", "batch", "counters"]
+        assert [l["seq"] for l in lines] == [1, 2, 3]
+        assert {k: lines[0][k] for k in COUNT_EVENTS} == {
+            "evaluation": 2, "cache_hit": 1, "cache_miss": 2
+        }
+        assert {k: lines[2][k] for k in COUNT_EVENTS} == {
+            "evaluation": 1, "cache_hit": 0, "cache_miss": 0
+        }
+
+    def test_sync_writes_pending_counts_once(self, tmp_path):
+        bus = EventBus()
+        path = tmp_path / "events.jsonl"
+        journal = RunJournal(path).attach(bus)
+        bus.emit("evaluation", count=5)
+        assert not path.exists()
+        journal.sync()
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [(l["event"], l["evaluation"]) for l in lines] == [("counters", 5)]
+        journal.close()
+        assert len(path.read_text().splitlines()) == 1
+
+
+class TestEngineMetricsRegistry:
     def test_counts_core_events(self):
         bus = EventBus()
-        collector = TelemetryCollector(bus)
+        metrics = EngineMetrics(bus)
         bus.emit("evaluation", count=4)
         bus.emit("cache_hit", count=2)
         bus.emit("cache_miss", count=1)
         bus.emit("batch", size=8, unique=4, hits=4)
         bus.emit("retry", key="k", attempt=1, reason="crash", delay_s=0.0)
         bus.emit("checkpoint", path="x")
-        r = collector.registry
+        r = metrics.registry
         assert r.get("repro_evaluations_total").value == 4
         assert r.get("repro_cache_hits_total").value == 2
+        assert r.get("repro_cache_misses_total").value == 1
         assert r.get("repro_batches_total").value == 1
         assert r.get("repro_batch_size").count == 1
         assert r.get("repro_retries_total").value == 1
@@ -313,23 +355,23 @@ class TestTelemetryCollector:
 
     def test_task_span_feeds_latency_per_evaluation(self):
         bus = EventBus()
-        collector = TelemetryCollector(bus)
+        metrics = EngineMetrics(bus)
         bus.emit("task_span", name="chunk", seconds=1.0, items=4, queue_wait_s=0.25)
-        latency = collector.registry.get("repro_eval_latency_seconds")
+        latency = metrics.registry.get("repro_eval_latency_seconds")
         assert latency.count == 1
         assert latency.sum == pytest.approx(0.25)  # 1s over 4 evaluations
-        wait = collector.registry.get("repro_queue_wait_seconds")
+        wait = metrics.registry.get("repro_queue_wait_seconds")
         assert wait.sum == pytest.approx(0.25)
 
     def test_timed_search_events_feed_histograms(self):
         bus = EventBus()
-        collector = TelemetryCollector(bus)
+        metrics = EngineMetrics(bus)
         bus.emit("search_run", strategy="anneal", workload="gzip", moves=10,
                  seconds=2.0)
         bus.emit("search_run", strategy="anneal", workload="mcf")  # untimed
         bus.emit("strategy_timing", strategy="hillclimb", benchmark="gzip",
                  seconds=1.0, moves=4, evaluations=9)
-        r = collector.registry
+        r = metrics.registry
         assert r.get("repro_search_runs_total").value == 2
         assert r.get("repro_search_seconds").count == 2
         assert r.get("repro_search_move_latency_seconds").sum == pytest.approx(
@@ -341,7 +383,7 @@ class TestProgressLine:
     def test_inert_on_non_tty(self):
         bus = EventBus()
         stream = io.StringIO()  # isatty() is False
-        heartbeat = ProgressLine(bus, stream=stream, interval=0.0)
+        heartbeat = ProgressLine(bus, EngineMetrics(bus), stream=stream, interval=0.0)
         assert heartbeat.active is False
         bus.emit("phase_start", name="explore")
         bus.emit("evaluation", count=10)
@@ -355,7 +397,7 @@ class TestProgressLine:
 
         bus = EventBus()
         stream = FakeTty()
-        heartbeat = ProgressLine(bus, stream=stream, interval=0.0)
+        heartbeat = ProgressLine(bus, EngineMetrics(bus), stream=stream, interval=0.0)
         assert heartbeat.active is True
         bus.emit("phase_start", name="explore")
         bus.emit("evaluation", count=10)

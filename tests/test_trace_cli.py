@@ -1,11 +1,12 @@
 """The `repro trace` CLI and journal-backed post-hoc analysis."""
 
 import json
+import signal
 
 import pytest
 
 from repro.cli import main
-from repro.engine import EvaluationEngine, RunJournal
+from repro.engine import EvaluationEngine, RunInterrupted, RunJournal
 from repro.engine import trace as trace_analysis
 from repro.search import SearchBudget
 from repro.search.compare import compare_strategies
@@ -119,7 +120,49 @@ class TestJournalMatchesEngineMetrics:
             assert summary.phase_seconds[name] == pytest.approx(seconds, abs=1e-6)
         assert summary.evaluations == engine.metrics.evaluations
         assert summary.cache_hits == engine.metrics.cache_hits
+        assert summary.cache_misses == engine.metrics.cache_misses
         assert summary.batches == engine.metrics.batches
+        # Count events reach the journal only as summed `counters` records.
+        assert not {"evaluation", "cache_hit", "cache_miss"} & summary.counts.keys()
+        assert summary.counts["counters"] >= 1
+
+    def test_interrupted_attempt_flushes_counts_while_unwinding(
+        self, tmp_path, initial_config
+    ):
+        path = tmp_path / "events.jsonl"
+        pairs = [
+            (spec2000_profile(n), initial_config) for n in ("gzip", "mcf", "twolf")
+        ]
+        attempts = []
+        # Attempt 1 is interrupted inside a phase: the unwinding phase_end
+        # must carry the pending counts to disk before anything closes.
+        engine = EvaluationEngine()
+        journal = RunJournal(path).attach(engine.events)
+        with pytest.raises(RunInterrupted):
+            with engine.phase("explore"):
+                engine.evaluate_many(pairs)
+                engine.evaluate_many(pairs[:1])  # one warm hit
+                raise RunInterrupted(signal.SIGTERM)
+        flushed = trace_analysis.summarize(trace_analysis.read_events(path))
+        assert flushed.evaluations == engine.metrics.evaluations == len(pairs)
+        assert flushed.cache_hits == engine.metrics.cache_hits == 1
+        journal.close()
+        attempts.append(engine.metrics)
+        # Attempt 2 (a fresh process's engine) runs to completion.
+        engine = EvaluationEngine()
+        journal = RunJournal(path).attach(engine.events)
+        with engine.phase("explore"):
+            engine.evaluate_many(pairs)
+        journal.close()
+        attempts.append(engine.metrics)
+
+        summary = trace_analysis.summarize(trace_analysis.read_events(path))
+        assert summary.attempts == 2
+        assert summary.monotonic
+        for field in ("evaluations", "cache_hits", "cache_misses", "batches"):
+            assert getattr(summary, field) == sum(
+                getattr(metrics, field) for metrics in attempts
+            ), field
 
     def test_resumed_journal_counts_two_attempts(self, tmp_path):
         path = tmp_path / "events.jsonl"
