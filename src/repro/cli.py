@@ -53,21 +53,9 @@ import pathlib
 import sys
 from typing import Sequence
 
+from . import ops
 from .communal import surrogate_merits
-from .communal.combination import DEFAULT_BEAM_WIDTH
-from .communal.merit import MERITS
-from .design import (
-    OBJECTIVE_NAMES,
-    ConstraintSet,
-    DesignError,
-    ParetoExplorer,
-    best_homogeneous,
-    build_design_matrix,
-    hetero_search,
-    make_objective,
-)
 from .engine import (
-    CheckpointManager,
     EvaluationEngine,
     FaultPlan,
     ProgressLine,
@@ -78,6 +66,7 @@ from .engine import (
     ShutdownCoordinator,
     digest,
     list_runs,
+    write_json_atomic,
     write_text_atomic,
 )
 from .engine import trace as trace_analysis
@@ -105,12 +94,10 @@ from .experiments import (
     table7_summary,
 )
 from .errors import ReproError
-from .explore import AnnealingSchedule, ClockSweep, XpScalar
-from .search import SearchBudget, strategy_names
-from .search.compare import compare_strategies
+from .explore import AnnealingSchedule, XpScalar
 from .sim import validate_interval_model
 from .uarch import initial_configuration
-from .workloads import SPEC2000_INT_NAMES, spec2000_profile, spec2000_profiles
+from .workloads import SPEC2000_INT_NAMES, spec2000_profiles
 
 
 def _engine_options() -> argparse.ArgumentParser:
@@ -181,109 +168,14 @@ def _engine_options() -> argparse.ArgumentParser:
     return p
 
 
-def _search_options() -> argparse.ArgumentParser:
-    """Shared search-strategy flags (a parent parser)."""
+def _pipeline_options() -> argparse.ArgumentParser:
+    """The exploration flags of the pipeline commands (a parent parser):
+    the cross matrix's iterations and seed plus the search flags."""
     p = argparse.ArgumentParser(add_help=False)
+    ops.add_arguments(p, ops.CrossMatrix, only=("iterations", "seed"))
     group = p.add_argument_group("search strategy")
-    group.add_argument(
-        "--strategy", choices=strategy_names(), default="anneal",
-        help="design-space search policy (default: anneal, the paper's "
-             "simulated annealing)",
-    )
-    group.add_argument(
-        "--max-evals", type=int, default=None, metavar="N",
-        help="stop each search after N fitness evaluations",
-    )
-    group.add_argument(
-        "--max-moves", type=int, default=None, metavar="N",
-        help="stop each search after N move proposals",
-    )
-    group.add_argument(
-        "--patience", type=int, default=None, metavar="N",
-        help="stop each search after N consecutive moves without a new "
-             "best score",
-    )
-    group.add_argument(
-        "--restarts", type=int, default=4, metavar="N",
-        help="independent restarts for multi-start strategies "
-             "(default: 4; other strategies ignore it)",
-    )
-    group.add_argument(
-        "--search-batch", type=int, default=1, metavar="N",
-        help="evaluate N candidates per round through the vectorized "
-             "batch model (anneal/hillclimb; default: 1 keeps the "
-             "sequential, signature-stable walk)",
-    )
+    ops.add_arguments(group, ops.Customize, only=ops.SEARCH_FIELDS)
     return p
-
-
-def _envelope_options(with_objective: bool) -> argparse.ArgumentParser:
-    """Shared design-envelope flags (a parent parser).
-
-    ``with_objective`` adds ``--objective`` for the commands that run a
-    single-objective search (customize/sweep); the multi-objective
-    commands (pareto/hetero) take the budgets alone.
-    """
-    p = argparse.ArgumentParser(add_help=False)
-    group = p.add_argument_group("design envelope")
-    if with_objective:
-        group.add_argument(
-            "--objective", choices=OBJECTIVE_NAMES, default="ipt",
-            help="figure of merit to optimize: ipt (the paper's default), "
-                 "edp (inverse energy-delay product), ed2 (inverse "
-                 "energy-delay^2), epi (IPT under --epi-budget), or "
-                 "envelope (IPT discounted by every active budget overrun; "
-                 "see docs/design.md)",
-        )
-    group.add_argument(
-        "--power-budget", type=float, default=None, metavar="W",
-        help="peak-power envelope in watts (per core; hetero also caps "
-             "the sum over the chosen combination)",
-    )
-    group.add_argument(
-        "--area-budget", type=float, default=None, metavar="MM2",
-        help="die-area envelope in mm^2 (per core; hetero also caps the "
-             "sum over the chosen combination)",
-    )
-    group.add_argument(
-        "--epi-budget", type=float, default=None, metavar="NJ",
-        help="energy-per-instruction budget in nanojoules per core",
-    )
-    return p
-
-
-def _constraints(args) -> ConstraintSet:
-    """The :class:`ConstraintSet` implied by the envelope flags."""
-    return ConstraintSet(
-        peak_power_w=getattr(args, "power_budget", None),
-        area_mm2=getattr(args, "area_budget", None),
-        epi_budget_nj=getattr(args, "epi_budget", None),
-    )
-
-
-def _objective_kwargs(args) -> dict:
-    """``XpScalar`` objective override per ``--objective`` (empty for ipt)."""
-    from .tech import default_technology
-
-    objective = make_objective(
-        getattr(args, "objective", "ipt"), default_technology(), _constraints(args)
-    )
-    return {} if objective is None else {"objective": objective}
-
-
-def _search_budget(args) -> SearchBudget | None:
-    """The uniform budget implied by search flags (None when unbounded)."""
-    if (
-        getattr(args, "max_evals", None) is None
-        and getattr(args, "max_moves", None) is None
-        and getattr(args, "patience", None) is None
-    ):
-        return None
-    return SearchBudget(
-        max_evaluations=args.max_evals,
-        max_moves=args.max_moves,
-        plateau_patience=args.patience,
-    )
 
 
 def _resilience(args) -> tuple[RetryPolicy | None, FaultPlan | None]:
@@ -308,94 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     engine_opts = _engine_options()
-    search_opts = _search_options()
-    objective_opts = _envelope_options(with_objective=True)
-    envelope_opts = _envelope_options(with_objective=False)
+    pipeline_opts = _pipeline_options()
 
-    p = sub.add_parser(
-        "customize",
-        parents=[engine_opts, search_opts, objective_opts],
-        help="customize a core per benchmark (cross-seeded when several)",
-    )
-    p.add_argument("benchmark", nargs="+", choices=SPEC2000_INT_NAMES)
-    p.add_argument("--iterations", type=int, default=2500)
-    p.add_argument("--seed", type=int, default=0)
+    for op in ops.OPERATIONS.values():
+        if op.command:
+            p = sub.add_parser(op.kind, parents=[engine_opts], help=op.summary)
+            ops.add_arguments(p, op)
 
-    p = sub.add_parser("table", parents=[engine_opts, search_opts],
+    p = sub.add_parser("table", parents=[engine_opts, pipeline_opts],
                        help="regenerate a table of the paper")
     p.add_argument("which", choices=["1", "2", "3", "4", "5", "6", "7", "a"])
-    p.add_argument("--iterations", type=int, default=2500)
-    p.add_argument("--seed", type=int, default=2008)
 
-    p = sub.add_parser("figure", parents=[engine_opts, search_opts],
+    p = sub.add_parser("figure", parents=[engine_opts, pipeline_opts],
                        help="regenerate a figure of the paper")
     p.add_argument("which", choices=["1", "2", "4", "6", "7", "8"])
-    p.add_argument("--iterations", type=int, default=2500)
-    p.add_argument("--seed", type=int, default=2008)
-
-    p = sub.add_parser("sweep", parents=[engine_opts, search_opts, objective_opts],
-                       help="pinned-clock sweep for one benchmark")
-    p.add_argument("benchmark", choices=SPEC2000_INT_NAMES)
-    p.add_argument("--clocks", type=float, nargs="+", default=None)
-    p.add_argument("--iterations", type=int, default=600)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser(
-        "pareto", parents=[engine_opts, envelope_opts],
-        help="sweep the design space into per-benchmark (IPT, power, "
-             "area) Pareto fronts (see docs/design.md)",
-    )
-    p.add_argument("benchmark", nargs="+", choices=SPEC2000_INT_NAMES)
-    p.add_argument("--samples", type=int, default=128, metavar="N",
-                   help="design points in the seeded space walk, each "
-                        "evaluated in both core types (default: 128)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--top", type=int, default=None, metavar="N",
-                   help="print only the N best-IPT front rows per benchmark")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="also write every front as JSON to FILE")
-
-    p = sub.add_parser(
-        "hetero", parents=[engine_opts, search_opts, envelope_opts],
-        help="search the best heterogeneous k-core combination (core "
-             "type + count) under a shared power/area envelope",
-    )
-    p.add_argument("benchmark", nargs="+", choices=SPEC2000_INT_NAMES)
-    p.add_argument("--cores", "-k", type=int, default=2, metavar="K",
-                   help="cores in the combination (default: 2)")
-    p.add_argument("--iterations", type=int, default=2500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--merit", choices=tuple(MERITS), default="cw-har",
-                   help="figure of merit over the workload population "
-                        "(default: cw-har)")
-    p.add_argument("--mode", choices=["auto", "exact", "beam"], default="auto",
-                   help="combination enumeration: exact, beam, or auto "
-                        "(exact while the count stays tractable)")
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH,
-                   metavar="N",
-                   help=f"partial combinations kept per beam level "
-                        f"(default: {DEFAULT_BEAM_WIDTH})")
-    p.add_argument("--no-inorder", action="store_true",
-                   help="offer only the out-of-order candidates (no @io twins)")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="also write the result as JSON to FILE")
-
-    p = sub.add_parser(
-        "search-compare", parents=[engine_opts, search_opts],
-        help="run every search strategy on the same benchmarks and rank "
-             "them on a quality/cost table",
-    )
-    p.add_argument("benchmark", nargs="+", choices=SPEC2000_INT_NAMES)
-    p.add_argument("--iterations", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--strategies", nargs="+", choices=strategy_names(), default=None,
-        help="strategies to compare (default: all registered)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the comparison as JSON to FILE",
-    )
 
     p = sub.add_parser(
         "validate", help="cross-validate the interval model against the cycle simulator"
@@ -403,20 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-length", type=int, default=12000)
 
     p = sub.add_parser(
-        "report", parents=[engine_opts, search_opts],
+        "report", parents=[engine_opts, pipeline_opts],
         help="regenerate every table/figure artifact into a directory",
     )
     p.add_argument("--out", default="results")
-    p.add_argument("--iterations", type=int, default=2500)
-    p.add_argument("--seed", type=int, default=2008)
 
     p = sub.add_parser(
-        "pipeline", parents=[engine_opts, search_opts],
+        "pipeline", parents=[engine_opts, pipeline_opts],
         help="run the full pipeline as a durable, resumable run "
              "(exploration + cross matrix + report artifacts)",
     )
-    p.add_argument("--iterations", type=int, default=2500)
-    p.add_argument("--seed", type=int, default=2008)
     p.add_argument(
         "--out", default=None, metavar="DIR",
         help="artifact directory (default: <run-dir>/artifacts)",
@@ -494,29 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_sub = p.add_subparsers(dest="client_command", required=True)
     sp = client_sub.add_parser("submit", help="submit one job")
-    sp.add_argument(
-        "kind",
-        choices=["customize", "sweep", "cross-matrix", "search-compare",
-                 "pareto"],
-    )
-    sp.add_argument("benchmark", nargs="+", choices=SPEC2000_INT_NAMES)
-    sp.add_argument("--samples", type=int, default=None, metavar="N",
-                    help="design points for pareto jobs")
-    sp.add_argument("--iterations", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--strategy", choices=strategy_names(), default=None)
-    sp.add_argument("--restarts", type=int, default=None)
-    sp.add_argument("--max-evals", type=int, default=None)
-    sp.add_argument("--max-moves", type=int, default=None)
-    sp.add_argument("--patience", type=int, default=None)
-    sp.add_argument("--clocks", type=float, nargs="+", default=None)
-    sp.add_argument("--strategies", nargs="+", choices=strategy_names(),
-                    default=None)
-    sp.add_argument("--tenant", default=None)
-    sp.add_argument("--wait", action="store_true",
-                    help="block until the job finishes and print its result")
-    sp.add_argument("--stream", action="store_true",
-                    help="stream progress events (SSE), then print the result")
+    submit_opts = argparse.ArgumentParser(add_help=False)
+    submit_opts.add_argument("--tenant", default=None)
+    submit_opts.add_argument("--wait", action="store_true",
+                             help="block until the job finishes and print "
+                                  "its result")
+    submit_opts.add_argument("--stream", action="store_true",
+                             help="stream progress events (SSE), then print "
+                                  "the result")
+    kinds = sp.add_subparsers(dest="kind", required=True)
+    for op in ops.OPERATIONS.values():
+        kp = kinds.add_parser(op.kind, parents=[submit_opts], help=op.summary)
+        ops.add_arguments(kp, op, submit=True)
     sp = client_sub.add_parser("status", help="one job's state")
     sp.add_argument("job_id")
     sp = client_sub.add_parser("result", help="one finished job's result")
@@ -810,10 +613,10 @@ def _pipeline(args):
     explorer = XpScalar(
         schedule=AnnealingSchedule(iterations=args.iterations),
         engine=_build_engine(args),
-        strategy=getattr(args, "strategy", "anneal"),
-        budget=_search_budget(args),
-        restarts=getattr(args, "restarts", 4),
-        search_batch=getattr(args, "search_batch", 1),
+        strategy=args.strategy,
+        budget=ops.budget_of(args),
+        restarts=args.restarts,
+        search_batch=args.search_batch,
     )
     return run_pipeline(
         explorer=explorer,
@@ -821,16 +624,6 @@ def _pipeline(args):
         cache_dir=args.cache_dir,
         resume=args.resume,
     )
-
-
-def _persist_run_artifact(args, name: str, text: str) -> None:
-    """Under ``--run-dir``, persist a rendered result as a run artifact."""
-    run = getattr(args, "_run", None)
-    if run is None:
-        return
-    path = run.artifact_dir / name
-    write_artifact(path, text)
-    run.record_artifact(path)
 
 
 def _strip_resume(argv: Sequence[str]) -> list[str]:
@@ -875,41 +668,29 @@ def _orchestrated(args, fn) -> int:
         raise
 
 
-def cmd_customize(args) -> int:
+def cmd_operation(args) -> int:
+    """Run one :mod:`repro.ops` operation and print its text.
+
+    Under ``--run-dir`` the text becomes the ``<command>.txt`` artifact;
+    ``--out FILE`` also writes the operation's JSON document, recorded
+    as a run artifact too.
+    """
+    params = ops.from_args(ops.OPERATIONS[args.command], args)
     engine = _build_engine(args)
-    xp = XpScalar(
-        schedule=AnnealingSchedule(iterations=args.iterations),
-        engine=engine,
-        strategy=args.strategy,
-        budget=_search_budget(args),
-        restarts=args.restarts,
-        search_batch=args.search_batch,
-        **_objective_kwargs(args),
-    )
-    profiles = [spec2000_profile(name) for name in args.benchmark]
-    if len(profiles) == 1:
-        results = {profiles[0].name: xp.customize(profiles[0], seed=args.seed)}
-    else:
-        checkpoint = None
-        if args.cache_dir is not None:
-            checkpoint = CheckpointManager(
-                pathlib.Path(args.cache_dir) / "checkpoint.json"
-            )
-        results = xp.customize_all(
-            profiles, seed=args.seed, checkpoint=checkpoint, resume=args.resume
-        )
-    objective = getattr(args, "objective", "ipt")
-    label = "IPT" if objective == "ipt" else f"{objective} score"
-    lines = []
-    for name in args.benchmark:
-        result = results[name]
-        evaluations = result.annealing.evaluations if result.annealing else 0
-        seeded = f" (adopted from {result.cross_seeded_from})" if result.cross_seeded_from else ""
-        lines.append(f"{name}: {label} {result.score:.2f} ({evaluations} evaluations){seeded}")
-        lines.append(result.config.describe())
-    text = "\n".join(lines)
+    result = params.run(engine, checkpoint_dir=args.cache_dir, resume=args.resume)
+    text = params.render(result)
     print(text)
-    _persist_run_artifact(args, "customize.txt", text)
+    run = getattr(args, "_run", None)
+    if run is not None:
+        path = run.artifact_dir / f"{params.kind}.txt"
+        write_artifact(path, text)
+        run.record_artifact(path)
+    out = getattr(params, "out", None)
+    if out is not None:
+        write_json_atomic(out, params.document(result), indent=2)
+        if run is not None:
+            run.record_artifact(pathlib.Path(out))
+        print(f"wrote {out}")
     return _finish(args, engine)
 
 
@@ -999,152 +780,6 @@ def cmd_figure(args) -> int:
         print(f"harmonic IPT {merits['harmonic_ipt']:.2f}, "
               f"average slowdown {merits['average_slowdown'] * 100:.1f}%")
     return _finish(args, pipe.engine)
-
-
-def cmd_sweep(args) -> int:
-    engine = _build_engine(args)
-    xp = XpScalar(engine=engine, **_objective_kwargs(args))
-    sweep = ClockSweep(
-        xp,
-        iterations=args.iterations,
-        strategy=args.strategy,
-        budget=_search_budget(args),
-        restarts=args.restarts,
-        search_batch=args.search_batch,
-    )
-    checkpoint = None
-    if args.cache_dir is not None:
-        checkpoint = CheckpointManager(
-            pathlib.Path(args.cache_dir) / "sweep-checkpoint.json"
-        )
-    points = sweep.run(
-        spec2000_profile(args.benchmark),
-        args.clocks,
-        seed=args.seed,
-        checkpoint=checkpoint,
-        resume=args.resume,
-    )
-    rows = [
-        [f"{p.clock_period_ns:.2f}", f"{p.score:.2f}", p.config.width,
-         p.config.rob_size, p.config.iq_size,
-         f"{p.config.l1.capacity_bytes // 1024}K",
-         f"{p.config.l2.capacity_bytes // 1024}K"]
-        for p in points
-    ]
-    text = render_table(["clock", "IPT", "W", "ROB", "IQ", "L1", "L2"], rows,
-                        title=f"clock sweep: {args.benchmark}")
-    print(text)
-    _persist_run_artifact(args, "sweep.txt", text)
-    return _finish(args, engine)
-
-
-def _write_json_out(args, payload) -> None:
-    """Honour ``--out FILE``: write JSON, record it under ``--run-dir``."""
-    import json as _json
-
-    if getattr(args, "out", None) is None:
-        return
-    out = write_text_atomic(args.out, _json.dumps(payload, indent=2) + "\n")
-    run = getattr(args, "_run", None)
-    if run is not None:
-        run.record_artifact(out)
-    print(f"wrote {out}")
-
-
-def cmd_pareto(args) -> int:
-    engine = _build_engine(args)
-    explorer = ParetoExplorer(engine=engine, constraints=_constraints(args))
-    profiles = [spec2000_profile(name) for name in args.benchmark]
-    fronts = explorer.fronts(profiles, samples=args.samples, seed=args.seed)
-    text = "\n\n".join(fronts[name].render(top=args.top) for name in args.benchmark)
-    print(text)
-    _persist_run_artifact(args, "pareto.txt", text)
-    _write_json_out(
-        args, {name: front.as_jsonable() for name, front in fronts.items()}
-    )
-    return _finish(args, engine)
-
-
-def cmd_hetero(args) -> int:
-    engine = _build_engine(args)
-    xp = XpScalar(
-        schedule=AnnealingSchedule(iterations=args.iterations),
-        engine=engine,
-        strategy=args.strategy,
-        budget=_search_budget(args),
-        restarts=args.restarts,
-        search_batch=args.search_batch,
-    )
-    profiles = [spec2000_profile(name) for name in args.benchmark]
-    if len(profiles) == 1:
-        results = {profiles[0].name: xp.customize(profiles[0], seed=args.seed)}
-    else:
-        results = xp.customize_all(profiles, seed=args.seed)
-    configs = {name: results[name].config for name in args.benchmark}
-    matrix = build_design_matrix(
-        engine,
-        profiles,
-        configs,
-        tech=xp.tech,
-        include_inorder=not args.no_inorder,
-    )
-    constraints = _constraints(args)
-    best = hetero_search(
-        matrix,
-        args.cores,
-        constraints,
-        merit=args.merit,
-        mode=args.mode,
-        beam_width=args.beam_width,
-    )
-    lines = [
-        f"heterogeneous {args.cores}-core search ({constraints.identity})",
-        best.render(),
-    ]
-    payload = {"hetero": best.as_jsonable(), "homogeneous": None}
-    try:
-        homogeneous = best_homogeneous(
-            matrix, args.cores, constraints, merit=args.merit
-        )
-        lines.append("best homogeneous:")
-        lines.append(homogeneous.render())
-        lines.append(
-            f"hetero/homogeneous merit ratio: "
-            f"{best.merit / homogeneous.merit:.4f}"
-        )
-        payload["homogeneous"] = homogeneous.as_jsonable()
-    except DesignError as exc:
-        lines.append(f"best homogeneous: none ({exc})")
-    text = "\n".join(lines)
-    print(text)
-    _persist_run_artifact(args, "hetero.txt", text)
-    _write_json_out(args, payload)
-    return _finish(args, engine)
-
-
-def cmd_search_compare(args) -> int:
-    engine = _build_engine(args)
-    profiles = [spec2000_profile(name) for name in args.benchmark]
-    report = compare_strategies(
-        profiles,
-        strategies=args.strategies,
-        iterations=args.iterations,
-        seed=args.seed,
-        budget=_search_budget(args),
-        engine=engine,
-        restarts=args.restarts,
-    )
-    text = report.render()
-    print(text)
-    _persist_run_artifact(args, "search-compare.txt", text)
-    if args.out is not None:
-        out = pathlib.Path(args.out)
-        report.write_json(out)
-        run = getattr(args, "_run", None)
-        if run is not None:
-            run.record_artifact(out)
-        print(f"wrote {out}")
-    return _finish(args, engine)
 
 
 def cmd_validate(args) -> int:
@@ -1491,21 +1126,9 @@ def cmd_client(args) -> int:
         _print_client_counters(client)
         return 0
     # submit
-    payload = {"kind": args.kind, "benchmarks": args.benchmark}
-    optional = {
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "strategy": args.strategy,
-        "restarts": args.restarts,
-        "max_evaluations": args.max_evals,
-        "max_moves": args.max_moves,
-        "plateau_patience": args.patience,
-        "clocks": args.clocks,
-        "strategies": args.strategies,
-        "samples": args.samples,
-        "tenant": args.tenant,
-    }
-    payload.update({key: value for key, value in optional.items() if value is not None})
+    payload = ops.payload_from_args(ops.OPERATIONS[args.kind], args)
+    if args.tenant is not None:
+        payload["tenant"] = args.tenant
     submitted = client.submit(payload)
     if args.stream:
         for event in client.events(submitted["id"]):
@@ -1732,13 +1355,9 @@ def cmd_bench_engine(args) -> int:
 
 
 _COMMANDS = {
-    "customize": cmd_customize,
+    **{kind: cmd_operation for kind, op in ops.OPERATIONS.items() if op.command},
     "table": cmd_table,
     "figure": cmd_figure,
-    "sweep": cmd_sweep,
-    "pareto": cmd_pareto,
-    "hetero": cmd_hetero,
-    "search-compare": cmd_search_compare,
     "validate": cmd_validate,
     "report": cmd_report,
     "pipeline": cmd_pipeline,

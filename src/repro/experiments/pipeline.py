@@ -43,7 +43,7 @@ from ..engine import (
     config_to_jsonable,
     digest,
 )
-from ..explore.annealing import AnnealingSchedule
+from ..search.anneal import AnnealingSchedule
 from ..explore.xpscalar import XpScalar
 from ..search import SearchBudget, SearchStrategy
 from ..workloads.profile import WorkloadProfile

@@ -179,7 +179,7 @@ class SearchResult(Generic[State]):
     """Outcome of one search run (any strategy).
 
     The field set is the annealer's historical result shape —
-    :class:`repro.explore.annealing.AnnealingResult` is an alias of this
+    :class:`repro.search.anneal.AnnealingResult` is an alias of this
     class — so checkpoints, the CLI and every downstream consumer handle
     all strategies uniformly.  ``history`` is the best-score-so-far
     trajectory, one entry per move plus the initial evaluation.

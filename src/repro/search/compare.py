@@ -111,12 +111,6 @@ class ComparisonReport:
             "rows": [row.jsonable() for row in self.rows],
         }
 
-    def write_json(self, path: Any) -> None:
-        """Persist the comparison atomically (write-temp + fsync + rename)."""
-        from ..engine.io_atomic import write_json_atomic  # lazy: thin IO dep
-
-        write_json_atomic(path, self.to_jsonable(), indent=2)
-
 
 def _rank(rows: Sequence[CompareRow]) -> list[str]:
     """Strategies best-first: mean score down, total evaluations up, name.

@@ -26,11 +26,10 @@ from .fleet import (
     slo_violations,
     stitch_journals,
 )
-from .jobs import Job, JobSpec, merge_budgets
+from .jobs import Job, JobSpec, execute_job, merge_budgets
 from .loadtest import LoadReport, run_load_test
 from .netfaults import ChaosProxy, ChaosReport, NetworkFaultPlan, run_chaos
 from .replicas import JobHandle, ReplicaSet
-from .runner import execute_job
 from .scheduler import FairShareScheduler, TenantPolicy
 from .service import ExplorationService, ServiceThread
 from .sse import JournalFollower, format_sse

@@ -1,50 +1,26 @@
 """Job vocabulary of the exploration service.
 
 A *job* is one exploration request — the service-side twin of one CLI
-invocation.  :class:`JobSpec` is the validated, immutable request
-(``kind`` selects which CLI path the runner mirrors); :class:`Job` is
-the mutable service-side record tracking it from ``queued`` through
+invocation.  Its spec is the params of one :mod:`repro.ops` operation
+(:class:`JobSpec`, validated by :meth:`JobSpec.from_payload`); :class:`Job`
+is the mutable service-side record tracking it from ``queued`` through
 ``running`` to ``completed``/``failed``.
 
-Specs are deliberately *canonical*: :meth:`JobSpec.from_payload`
-validates every field against the same vocabularies the CLI uses
-(benchmark names, strategy registry) and fills the same defaults, so a
-job submitted twice — or submitted to two replicas — has the same
-content digest and therefore the same evaluation keys in the shared
-result store.
+Specs are deliberately *canonical*: the request parser fills the same
+defaults and applies the same checks the CLI does, so a job submitted
+twice — or submitted to two replicas — has the same content digest and
+therefore the same evaluation keys in the shared result store.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
-from ..engine.keys import digest
-from ..errors import ServeError
-from ..search import SearchBudget, strategy_names
-from ..workloads import SPEC2000_INT_NAMES
-
-#: Every job kind the runner knows, mapped to its CLI iteration default.
-JOB_KINDS = {
-    "customize": 2500,
-    "sweep": 600,
-    "cross-matrix": 2500,
-    "search-compare": 400,
-    "pareto": 1,  # pareto jobs size by `samples`, not iterations
-}
-
-#: Seed defaults per kind (the CLI's: explorations 0, the pipeline 2008).
-DEFAULT_SEEDS = {
-    "customize": 0,
-    "sweep": 0,
-    "cross-matrix": 2008,
-    "search-compare": 0,
-    "pareto": 0,
-}
-
-#: CLI default for pareto jobs' design-space sample count.
-DEFAULT_PARETO_SAMPLES = 128
+from ..engine import EvaluationEngine
+from ..ops import Params as JobSpec
+from ..search import SearchBudget
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -55,191 +31,10 @@ FAILED = "failed"
 TERMINAL_STATES = (COMPLETED, FAILED)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ServeError(message)
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One validated exploration request.
-
-    ``kind`` picks the code path (mirroring the CLI command of the same
-    name); the remaining fields are that command's flags.  Instances are
-    only built through :meth:`from_payload`, which normalizes defaults
-    so equal requests are equal objects.
-    """
-
-    kind: str
-    benchmarks: tuple[str, ...]
-    iterations: int
-    seed: int
-    strategy: str = "anneal"
-    restarts: int = 4
-    max_evaluations: int | None = None
-    max_moves: int | None = None
-    plateau_patience: int | None = None
-    clocks: tuple[float, ...] | None = None
-    strategies: tuple[str, ...] | None = None
-    samples: int | None = None
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> "JobSpec":
-        """Validate a JSON request body into a canonical spec."""
-        _require(isinstance(payload, dict), "job payload must be a JSON object")
-        unknown = set(payload) - {
-            "kind", "benchmarks", "iterations", "seed", "strategy", "restarts",
-            "max_evaluations", "max_moves", "plateau_patience", "clocks",
-            "strategies", "samples", "tenant",
-        }
-        _require(not unknown, f"unknown job fields: {', '.join(sorted(unknown))}")
-
-        kind = payload.get("kind")
-        _require(
-            kind in JOB_KINDS,
-            f"unknown job kind {kind!r}; known: {', '.join(JOB_KINDS)}",
-        )
-        benchmarks = payload.get("benchmarks")
-        _require(
-            isinstance(benchmarks, (list, tuple)) and benchmarks,
-            "benchmarks must be a non-empty list",
-        )
-        bad = [b for b in benchmarks if b not in SPEC2000_INT_NAMES]
-        _require(
-            not bad,
-            f"unknown benchmarks: {', '.join(map(str, bad))}; "
-            f"known: {', '.join(SPEC2000_INT_NAMES)}",
-        )
-        if kind == "sweep":
-            _require(len(benchmarks) == 1, "sweep takes exactly one benchmark")
-
-        iterations = payload.get("iterations", JOB_KINDS[kind])
-        _require(
-            isinstance(iterations, int) and iterations >= 1,
-            f"iterations must be a positive integer, got {iterations!r}",
-        )
-        seed = payload.get("seed", DEFAULT_SEEDS[kind])
-        _require(isinstance(seed, int), f"seed must be an integer, got {seed!r}")
-
-        strategy = payload.get("strategy", "anneal")
-        _require(
-            strategy in strategy_names(),
-            f"unknown strategy {strategy!r}; known: {', '.join(strategy_names())}",
-        )
-        restarts = payload.get("restarts", 4)
-        _require(
-            isinstance(restarts, int) and restarts >= 1,
-            f"restarts must be a positive integer, got {restarts!r}",
-        )
-
-        def _bound(name: str) -> int | None:
-            value = payload.get(name)
-            if value is None:
-                return None
-            _require(
-                isinstance(value, int) and value >= 1,
-                f"{name} must be a positive integer, got {value!r}",
-            )
-            return value
-
-        clocks = payload.get("clocks")
-        if clocks is not None:
-            _require(kind == "sweep", "clocks only apply to sweep jobs")
-            _require(
-                isinstance(clocks, (list, tuple))
-                and clocks
-                and all(isinstance(c, (int, float)) and c > 0 for c in clocks),
-                "clocks must be a non-empty list of positive numbers",
-            )
-            clocks = tuple(float(c) for c in clocks)
-
-        strategies = payload.get("strategies")
-        if strategies is not None:
-            _require(
-                kind == "search-compare",
-                "strategies only apply to search-compare jobs",
-            )
-            _require(
-                isinstance(strategies, (list, tuple)) and strategies,
-                "strategies must be a non-empty list",
-            )
-            bad = [s for s in strategies if s not in strategy_names()]
-            _require(
-                not bad,
-                f"unknown strategies: {', '.join(map(str, bad))}; "
-                f"known: {', '.join(strategy_names())}",
-            )
-            strategies = tuple(strategies)
-
-        samples = payload.get("samples")
-        if samples is not None:
-            _require(kind == "pareto", "samples only apply to pareto jobs")
-            _require(
-                isinstance(samples, int) and samples >= 1,
-                f"samples must be a positive integer, got {samples!r}",
-            )
-        elif kind == "pareto":
-            samples = DEFAULT_PARETO_SAMPLES
-
-        return cls(
-            kind=kind,
-            benchmarks=tuple(benchmarks),
-            iterations=iterations,
-            seed=seed,
-            strategy=strategy,
-            restarts=restarts,
-            max_evaluations=_bound("max_evaluations"),
-            max_moves=_bound("max_moves"),
-            plateau_patience=_bound("plateau_patience"),
-            clocks=clocks,
-            strategies=strategies,
-            samples=samples,
-        )
-
-    @property
-    def budget(self) -> SearchBudget | None:
-        """The per-search budget the spec requests (None when unbounded)."""
-        if (
-            self.max_evaluations is None
-            and self.max_moves is None
-            and self.plateau_patience is None
-        ):
-            return None
-        return SearchBudget(
-            max_evaluations=self.max_evaluations,
-            max_moves=self.max_moves,
-            plateau_patience=self.plateau_patience,
-        )
-
-    def with_budget(self, budget: SearchBudget | None) -> "JobSpec":
-        """A copy whose budget fields are replaced by ``budget``."""
-        return replace(
-            self,
-            max_evaluations=budget.max_evaluations if budget else None,
-            max_moves=budget.max_moves if budget else None,
-            plateau_patience=budget.plateau_patience if budget else None,
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "benchmarks": list(self.benchmarks),
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "restarts": self.restarts,
-            "max_evaluations": self.max_evaluations,
-            "max_moves": self.max_moves,
-            "plateau_patience": self.plateau_patience,
-            "clocks": list(self.clocks) if self.clocks is not None else None,
-            "strategies": list(self.strategies) if self.strategies else None,
-            "samples": self.samples,
-        }
-
-    @property
-    def content_digest(self) -> str:
-        """Content hash of the canonical spec (equal requests collide)."""
-        return digest(self.to_jsonable())
+def execute_job(spec: JobSpec, engine: EvaluationEngine) -> dict[str, Any]:
+    """Run ``spec`` on ``engine`` — the CLI command's calls — and return
+    the JSON-ready result."""
+    return spec.served(spec.run(engine))
 
 
 def merge_budgets(

@@ -376,7 +376,7 @@ class ReplicaSet:
         ).start()
         launched = 1
         try:
-            kind, value = answers.get(timeout=self.hedge_s)
+            outcome, value = answers.get(timeout=self.hedge_s)
         except queue.Empty:
             with self._lock:
                 self.counters["hedged_polls"] += 1
@@ -384,14 +384,14 @@ class ReplicaSet:
                 target=attempt, name="repro-replica-hedge", daemon=True
             ).start()
             launched = 2
-            kind, value = self._await_answer(answers, client, job_id)
-        if kind == "ok":
+            outcome, value = self._await_answer(answers, client, job_id)
+        if outcome == "ok":
             return value
         if launched == 2:
             # The first answer was a failure; the other attempt may
             # still come through.
-            kind, value = self._await_answer(answers, client, job_id)
-            if kind == "ok":
+            outcome, value = self._await_answer(answers, client, job_id)
+            if outcome == "ok":
                 return value
         raise value
 

@@ -94,8 +94,7 @@ from .http import (
     response_bytes,
     sse_head,
 )
-from .jobs import COMPLETED, FAILED, QUEUED, RUNNING, Job, JobSpec
-from .runner import execute_job
+from .jobs import COMPLETED, FAILED, QUEUED, RUNNING, Job, JobSpec, execute_job
 from .scheduler import FairShareScheduler, TenantPolicy
 from .sse import JournalFollower, format_sse
 

@@ -18,7 +18,7 @@ from repro.engine import EvaluationEngine
 from repro.errors import ServeClientError
 from repro.serve import ServeClient
 from repro.serve.jobs import JobSpec
-from repro.serve.runner import execute_job
+from repro.serve import execute_job
 from repro.serve.scheduler import TenantPolicy
 from repro.serve.service import ExplorationService, ServiceThread
 
